@@ -12,6 +12,12 @@
 /// Doubles travel as their IEEE-754 bit patterns (the `MixDouble` convention
 /// of common/hash.h), making every round-trip bit-exact — the store's
 /// bit-identity contract rests on this.
+///
+/// The byte order is the host's, and the host must be little-endian (a
+/// static_assert below says so): scalars and whole arrays are then one
+/// `memcpy` each, which is what lets the bulk writers (`PutU32s`,
+/// `PutDoubles`) and the bulk reads (`ByteReader::U32s`/`Doubles`) move a
+/// model's insertion table at memory speed.
 
 #ifndef PPREF_COMMON_BYTES_H_
 #define PPREF_COMMON_BYTES_H_
@@ -19,29 +25,41 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 
 namespace ppref {
+
+static_assert(std::endian::native == std::endian::little,
+              "the byte codecs copy host-order words as little-endian bytes");
 
 inline void PutU8(std::string& out, std::uint8_t value) {
   out.push_back(static_cast<char>(value));
 }
 
 inline void PutU32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
 inline void PutU64(std::string& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
 inline void PutDouble(std::string& out, double value) {
   PutU64(out, std::bit_cast<std::uint64_t>(value));
+}
+
+/// Bulk writers: the same bytes as one scalar Put per element, appended as
+/// one copy.
+inline void PutU32s(std::string& out, std::span<const std::uint32_t> values) {
+  out.append(reinterpret_cast<const char*>(values.data()),
+             values.size_bytes());
+}
+
+inline void PutDoubles(std::string& out, std::span<const double> values) {
+  out.append(reinterpret_cast<const char*>(values.data()),
+             values.size_bytes());
 }
 
 /// Unaligned little-endian loads from raw buffers (segment scans).
@@ -87,6 +105,13 @@ class ByteReader {
 
   double Double() { return std::bit_cast<double>(U64()); }
 
+  /// Bulk reads: fill `out` with the next `out.size()` elements, or with
+  /// zeros (and `ok()` false) when fewer remain.
+  void U32s(std::span<std::uint32_t> out) {
+    Copy(out.data(), out.size_bytes());
+  }
+  void Doubles(std::span<double> out) { Copy(out.data(), out.size_bytes()); }
+
   /// A view of the next `n` bytes (into the underlying buffer), or empty
   /// with `ok()` false when fewer remain.
   std::string_view Bytes(std::size_t n) {
@@ -106,6 +131,16 @@ class ByteReader {
       return false;
     }
     return true;
+  }
+
+  void Copy(void* out, std::size_t n) {
+    if (n == 0) return;
+    if (!Ensure(n)) {
+      std::memset(out, 0, n);
+      return;
+    }
+    std::memcpy(out, bytes_.data() + pos_, n);
+    pos_ += n;
   }
 
   std::string_view bytes_;

@@ -1,11 +1,12 @@
 #include "ppref/net/codec.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "ppref/common/bytes.h"
 #include "ppref/infer/labeling.h"
 #include "ppref/rim/insertion.h"
 #include "ppref/rim/ranking.h"
@@ -14,82 +15,79 @@
 namespace ppref::net {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Little-endian byte writer / bounds-checked reader.
+/// Request preamble: id(8) kind(1) flags(1) reserved(2) deadline(8).
+constexpr std::size_t kPreambleBytes = 20;
 
-class Writer {
- public:
-  void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) U8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
-  void Bytes(std::string_view bytes) { out_.append(bytes); }
-  std::string Take() { return std::move(out_); }
+Status Malformed(std::string_view what) {
+  return Status::InvalidArgument("malformed request body: " +
+                                 std::string(what));
+}
 
- private:
-  std::string out_;
+/// The u32-length-prefixed standard request body that sweep, hard and
+/// consensus requests wrap, so their decoders can delegate model/pattern
+/// validation to DecodeRequest verbatim.
+void PutBase(std::string& out, const WireRequest& base) {
+  const std::string encoded = EncodeRequest(base);
+  PutU32(out, static_cast<std::uint32_t>(encoded.size()));
+  out.append(encoded);
+}
+
+/// Reads and validates a wrapped base request; `what` names the wrapper in
+/// error messages. The base kind must be pattern_prob.
+StatusOr<WireRequest> ReadBase(ByteReader& r, std::string_view what) {
+  const std::string_view base = r.Bytes(r.U32());
+  if (!r.ok()) {
+    return Malformed("truncated " + std::string(what) + " base request");
+  }
+  StatusOr<WireRequest> decoded = DecodeRequest(base);
+  if (!decoded.ok()) return decoded.status();
+  if (decoded->kind != serve::Request::Kind::kPatternProb) {
+    return Malformed(std::string(what) +
+                     " base request kind must be pattern_prob");
+  }
+  return decoded;
+}
+
+/// Every response body opens with
+///   u64 id, u8 status_code, u8 flag_a, u8 flag_b, u8 reserved (0),
+///   u32 message_len, bytes message;
+/// response kinds without flags send them as reserved zeros.
+void PutResponseHead(std::string& out, std::uint64_t id, const Status& status,
+                     bool flag_a, bool flag_b) {
+  PutU64(out, id);
+  PutU8(out, static_cast<std::uint8_t>(status.code()));
+  PutU8(out, flag_a ? 1 : 0);
+  PutU8(out, flag_b ? 1 : 0);
+  PutU8(out, 0);
+  PutU32(out, static_cast<std::uint32_t>(status.message().size()));
+  out.append(status.message());
+}
+
+struct ResponseHead {
+  std::uint64_t id = 0;
+  Status status;
+  bool flag_a = false;
+  bool flag_b = false;
 };
 
-/// Every Get* returns false once the input is exhausted; the caller pattern
-/// is `if (!reader.U32(&v)) return Malformed(...)`, so a truncated body can
-/// never be read past its end.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  bool U8(std::uint8_t* v) {
-    if (offset_ + 1 > data_.size()) return false;
-    *v = static_cast<std::uint8_t>(data_[offset_++]);
-    return true;
+/// Reads a response head. False when truncated, or when the status code,
+/// the reserved byte, or a flag byte (above `max_flag`) is out of range.
+bool ReadResponseHead(ByteReader& r, std::uint8_t max_flag,
+                      ResponseHead* head) {
+  head->id = r.U64();
+  const std::uint8_t code = r.U8();
+  const std::uint8_t flag_a = r.U8();
+  const std::uint8_t flag_b = r.U8();
+  const std::uint8_t reserved = r.U8();
+  const std::string_view message = r.Bytes(r.U32());
+  if (!r.ok() || code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
+      flag_a > max_flag || flag_b > max_flag || reserved != 0) {
+    return false;
   }
-  bool U32(std::uint32_t* v) {
-    if (offset_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(
-                static_cast<unsigned char>(data_[offset_ + i]))
-            << (8 * i);
-    }
-    offset_ += 4;
-    return true;
-  }
-  bool U64(std::uint64_t* v) {
-    if (offset_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(
-                static_cast<unsigned char>(data_[offset_ + i]))
-            << (8 * i);
-    }
-    offset_ += 8;
-    return true;
-  }
-  bool F64(double* v) {
-    std::uint64_t bits = 0;
-    if (!U64(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool Bytes(std::size_t n, std::string* v) {
-    if (offset_ + n > data_.size() || n > data_.size()) return false;
-    v->assign(data_.data() + offset_, n);
-    offset_ += n;
-    return true;
-  }
-  bool AtEnd() const { return offset_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  std::size_t offset_ = 0;
-};
-
-Status Malformed(const char* what) {
-  return Status::InvalidArgument(std::string("malformed request body: ") +
-                                 what);
+  head->status = Status(static_cast<StatusCode>(code), std::string(message));
+  head->flag_a = flag_a != 0;
+  head->flag_b = flag_b != 0;
+  return true;
 }
 
 }  // namespace
@@ -98,84 +96,95 @@ Status Malformed(const char* what) {
 // Request
 
 std::string EncodeRequest(const WireRequest& request) {
-  Writer w;
-  w.U64(request.id);
-  w.U8(static_cast<std::uint8_t>(request.kind));
-  w.U8(request.idempotency_key != 0 ? kRequestFlagIdempotencyKey : 0);
-  w.U8(0);
-  w.U8(0);
-  w.U64(request.deadline_ns);
-  if (request.idempotency_key != 0) w.U64(request.idempotency_key);
-
   const rim::RimModel& model = request.model.model();
-  const unsigned m = model.size();
-  w.U32(m);
-  for (unsigned p = 0; p < m; ++p) w.U32(model.reference().At(p));
-  for (unsigned t = 0; t < m; ++t) {
-    for (double prob : model.insertion().Row(t)) w.F64(prob);
-  }
   const infer::ItemLabeling& labeling = request.model.labeling();
+  const infer::LabelPattern& pattern = request.pattern;
+  const std::size_t m = model.size();
+  const unsigned nodes = pattern.NodeCount();
+  const bool keyed = request.idempotency_key != 0;
+  std::size_t label_words = 0;
+  for (unsigned item = 0; item < m; ++item) {
+    label_words += 1 + labeling.LabelsOf(item).size();
+  }
+  std::size_t edge_count = 0;
+  for (unsigned from = 0; from < nodes; ++from) {
+    edge_count += pattern.Children(from).size();
+  }
+
+  std::string out;
+  out.reserve(kPreambleBytes + (keyed ? 8 : 0) + 4 * (1 + m) +
+              8 * (m * (m + 1) / 2) + 4 * label_words + 4 * (2 + nodes) +
+              8 * edge_count);
+  PutU64(out, request.id);
+  PutU8(out, static_cast<std::uint8_t>(request.kind));
+  PutU8(out, keyed ? kRequestFlagIdempotencyKey : 0);
+  PutU8(out, 0);
+  PutU8(out, 0);
+  PutU64(out, request.deadline_ns);
+  if (keyed) PutU64(out, request.idempotency_key);
+
+  PutU32(out, static_cast<std::uint32_t>(m));
+  PutU32s(out, model.reference().order());
+  for (unsigned t = 0; t < m; ++t) PutDoubles(out, model.insertion().Row(t));
   for (unsigned item = 0; item < m; ++item) {
     const std::vector<infer::LabelId>& labels = labeling.LabelsOf(item);
-    w.U32(static_cast<std::uint32_t>(labels.size()));
-    for (infer::LabelId label : labels) w.U32(label);
+    PutU32(out, static_cast<std::uint32_t>(labels.size()));
+    PutU32s(out, labels);
   }
 
-  const infer::LabelPattern& pattern = request.pattern;
-  const unsigned nodes = pattern.NodeCount();
-  w.U32(nodes);
-  for (unsigned node = 0; node < nodes; ++node) w.U32(pattern.NodeLabel(node));
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  PutU32(out, nodes);
+  for (unsigned node = 0; node < nodes; ++node) {
+    PutU32(out, pattern.NodeLabel(node));
+  }
+  PutU32(out, static_cast<std::uint32_t>(edge_count));
   for (unsigned from = 0; from < nodes; ++from) {
-    for (unsigned to : pattern.Children(from)) edges.emplace_back(from, to);
+    for (unsigned to : pattern.Children(from)) {
+      PutU32(out, from);
+      PutU32(out, to);
+    }
   }
-  w.U32(static_cast<std::uint32_t>(edges.size()));
-  for (const auto& [from, to] : edges) {
-    w.U32(from);
-    w.U32(to);
-  }
-  return w.Take();
+  return out;
 }
 
 StatusOr<WireRequest> DecodeRequest(std::string_view body) {
-  Reader r(body);
-  std::uint64_t id = 0;
-  std::uint8_t kind = 0;
-  std::uint8_t flags = 0;
-  std::uint64_t deadline_ns = 0;
-  std::uint8_t reserved[2];
-  if (!r.U64(&id) || !r.U8(&kind) || !r.U8(&flags) || !r.U8(&reserved[0]) ||
-      !r.U8(&reserved[1]) || !r.U64(&deadline_ns)) {
-    return Malformed("truncated preamble");
-  }
+  ByteReader r(body);
+  const std::uint64_t id = r.U64();
+  const std::uint8_t kind = r.U8();
+  const std::uint8_t flags = r.U8();
+  const std::uint8_t reserved0 = r.U8();
+  const std::uint8_t reserved1 = r.U8();
+  const std::uint64_t deadline_ns = r.U64();
+  if (!r.ok()) return Malformed("truncated preamble");
   if (kind > static_cast<std::uint8_t>(serve::Request::Kind::kTopMatching)) {
     return Malformed("unknown request kind");
   }
   if ((flags & ~kRequestFlagIdempotencyKey) != 0) {
     return Malformed("unknown request flags");
   }
-  if (reserved[0] != 0 || reserved[1] != 0) {
+  if (reserved0 != 0 || reserved1 != 0) {
     return Malformed("nonzero reserved bytes");
   }
   std::uint64_t idempotency_key = 0;
   if ((flags & kRequestFlagIdempotencyKey) != 0) {
-    if (!r.U64(&idempotency_key)) return Malformed("truncated preamble");
+    idempotency_key = r.U64();
+    if (!r.ok()) return Malformed("truncated preamble");
     if (idempotency_key == 0) return Malformed("zero idempotency key");
   }
 
   // Model: reference ranking. Must be a permutation of 0..m-1 — the Ranking
   // constructor PPREF_CHECKs exactly that, so verify before constructing.
-  std::uint32_t m = 0;
-  if (!r.U32(&m)) return Malformed("truncated item count");
+  const std::uint32_t m = r.U32();
+  if (!r.ok()) return Malformed("truncated item count");
   if (m == 0 || m > kMaxWireItems) return Malformed("item count out of range");
   std::vector<rim::ItemId> order(m);
+  r.U32s(order);
+  if (!r.ok()) return Malformed("truncated reference ranking");
   std::vector<bool> seen(m, false);
-  for (std::uint32_t p = 0; p < m; ++p) {
-    if (!r.U32(&order[p])) return Malformed("truncated reference ranking");
-    if (order[p] >= m || seen[order[p]]) {
+  for (rim::ItemId item : order) {
+    if (item >= m || seen[item]) {
       return Malformed("reference ranking is not a permutation");
     }
-    seen[order[p]] = true;
+    seen[item] = true;
   }
 
   // Insertion rows: row t has t+1 finite non-negative entries summing to 1
@@ -184,13 +193,14 @@ StatusOr<WireRequest> DecodeRequest(std::string_view body) {
   std::vector<std::vector<double>> rows(m);
   for (std::uint32_t t = 0; t < m; ++t) {
     rows[t].resize(t + 1);
+    r.Doubles(rows[t]);
+    if (!r.ok()) return Malformed("truncated insertion rows");
     double sum = 0.0;
-    for (std::uint32_t j = 0; j <= t; ++j) {
-      if (!r.F64(&rows[t][j])) return Malformed("truncated insertion rows");
-      if (!std::isfinite(rows[t][j]) || rows[t][j] < 0.0) {
+    for (double prob : rows[t]) {
+      if (!std::isfinite(prob) || prob < 0.0) {
         return Malformed("insertion probability not in [0, 1]");
       }
-      sum += rows[t][j];
+      sum += prob;
     }
     if (std::abs(sum - 1.0) > rim::InsertionFunction::kRowSumTolerance) {
       return Malformed("insertion row does not sum to 1");
@@ -200,27 +210,28 @@ StatusOr<WireRequest> DecodeRequest(std::string_view body) {
   // Labeling: per-item label lists, bounded.
   infer::ItemLabeling labeling(m);
   for (std::uint32_t item = 0; item < m; ++item) {
-    std::uint32_t count = 0;
-    if (!r.U32(&count)) return Malformed("truncated labeling");
+    const std::uint32_t count = r.U32();
+    if (!r.ok()) return Malformed("truncated labeling");
     if (count > kMaxWireLabelsPerItem) {
       return Malformed("too many labels on one item");
     }
     for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t label = 0;
-      if (!r.U32(&label)) return Malformed("truncated labeling");
+      const std::uint32_t label = r.U32();
+      if (!r.ok()) return Malformed("truncated labeling");
       labeling.AddLabel(item, label);
     }
   }
 
   // Pattern: distinct node labels (AddNode aborts on a duplicate), edges
   // over valid node indices without self-loops (AddEdge aborts on both).
-  std::uint32_t node_count = 0;
-  if (!r.U32(&node_count)) return Malformed("truncated pattern");
+  const std::uint32_t node_count = r.U32();
+  if (!r.ok()) return Malformed("truncated pattern");
   if (node_count > kMaxWireNodes) return Malformed("too many pattern nodes");
-  infer::LabelPattern pattern;
   std::vector<std::uint32_t> node_labels(node_count);
+  r.U32s(node_labels);
+  if (!r.ok()) return Malformed("truncated pattern");
+  infer::LabelPattern pattern;
   for (std::uint32_t node = 0; node < node_count; ++node) {
-    if (!r.U32(&node_labels[node])) return Malformed("truncated pattern");
     for (std::uint32_t prev = 0; prev < node; ++prev) {
       if (node_labels[prev] == node_labels[node]) {
         return Malformed("duplicate pattern node label");
@@ -228,15 +239,15 @@ StatusOr<WireRequest> DecodeRequest(std::string_view body) {
     }
     pattern.AddNode(node_labels[node]);
   }
-  std::uint32_t edge_count = 0;
-  if (!r.U32(&edge_count)) return Malformed("truncated pattern edges");
+  const std::uint32_t edge_count = r.U32();
+  if (!r.ok()) return Malformed("truncated pattern edges");
   if (edge_count > node_count * node_count) {
     return Malformed("edge count out of range");
   }
   for (std::uint32_t e = 0; e < edge_count; ++e) {
-    std::uint32_t from = 0;
-    std::uint32_t to = 0;
-    if (!r.U32(&from) || !r.U32(&to)) return Malformed("truncated pattern edges");
+    const std::uint32_t from = r.U32();
+    const std::uint32_t to = r.U32();
+    if (!r.ok()) return Malformed("truncated pattern edges");
     if (from >= node_count || to >= node_count) {
       return Malformed("edge endpoint out of range");
     }
@@ -244,7 +255,7 @@ StatusOr<WireRequest> DecodeRequest(std::string_view body) {
     pattern.AddEdge(from, to);
   }
 
-  if (!r.AtEnd()) return Malformed("trailing bytes");
+  if (r.remaining() != 0) return Malformed("trailing bytes");
 
   WireRequest request(
       id, static_cast<serve::Request::Kind>(kind), deadline_ns,
@@ -258,79 +269,51 @@ StatusOr<WireRequest> DecodeRequest(std::string_view body) {
 }
 
 std::uint64_t PeekIdempotencyKey(std::string_view body) {
-  // Preamble: id(8) kind(1) flags(1) reserved(2) deadline(8) [key(8)].
-  if (body.size() < 28) return 0;
+  if (body.size() < kPreambleBytes + 8) return 0;
   const auto flags = static_cast<std::uint8_t>(body[9]);
   if ((flags & kRequestFlagIdempotencyKey) == 0) return 0;
-  std::uint64_t key = 0;
-  for (int i = 0; i < 8; ++i) {
-    key |= static_cast<std::uint64_t>(static_cast<unsigned char>(body[20 + i]))
-           << (8 * i);
-  }
-  return key;
+  return LoadU64(body.data() + kPreambleBytes);
 }
 
 // ---------------------------------------------------------------------------
 // Response
 
 std::string EncodeResponse(const WireResponse& response) {
-  Writer w;
-  w.U64(response.id);
-  w.U8(static_cast<std::uint8_t>(response.status.code()));
-  w.U8(response.approximate ? 1 : 0);
-  w.U8(response.top_matching.has_value() ? 1 : 0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(response.status.message().size()));
-  w.Bytes(response.status.message());
-  w.F64(response.probability);
-  w.F64(response.std_error);
-  w.U64(response.retry_after_ns);
+  std::string out;
+  PutResponseHead(out, response.id, response.status, response.approximate,
+                  response.top_matching.has_value());
+  PutDouble(out, response.probability);
+  PutDouble(out, response.std_error);
+  PutU64(out, response.retry_after_ns);
   if (response.top_matching.has_value()) {
-    w.U32(static_cast<std::uint32_t>(response.top_matching->size()));
-    for (rim::ItemId item : *response.top_matching) w.U32(item);
+    PutU32(out, static_cast<std::uint32_t>(response.top_matching->size()));
+    PutU32s(out, *response.top_matching);
   }
-  return w.Take();
+  return out;
 }
 
 StatusOr<WireResponse> DecodeResponse(std::string_view body) {
-  Reader r(body);
+  const Status malformed = Status::InvalidArgument("malformed response body");
+  ByteReader r(body);
+  ResponseHead head;
+  if (!ReadResponseHead(r, 1, &head)) return malformed;
   WireResponse response;
-  std::uint8_t code = 0;
-  std::uint8_t approximate = 0;
-  std::uint8_t has_matching = 0;
-  std::uint8_t reserved = 0;
-  std::uint32_t message_len = 0;
-  std::string message;
-  double probability = 0.0;
-  double std_error = 0.0;
-  if (!r.U64(&response.id) || !r.U8(&code) || !r.U8(&approximate) ||
-      !r.U8(&has_matching) || !r.U8(&reserved) || !r.U32(&message_len) ||
-      !r.Bytes(message_len, &message) || !r.F64(&probability) ||
-      !r.F64(&std_error) || !r.U64(&response.retry_after_ns)) {
-    return Status::InvalidArgument("malformed response body");
-  }
-  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
-      approximate > 1 || has_matching > 1 || reserved != 0) {
-    return Status::InvalidArgument("malformed response body");
-  }
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
-  response.probability = probability;
-  response.std_error = std_error;
-  response.approximate = approximate != 0;
-  if (has_matching != 0) {
-    std::uint32_t match_len = 0;
-    if (!r.U32(&match_len) || match_len > kMaxWireNodes) {
-      return Status::InvalidArgument("malformed response body");
-    }
+  response.id = head.id;
+  response.status = std::move(head.status);
+  response.approximate = head.flag_a;
+  response.probability = r.Double();
+  response.std_error = r.Double();
+  response.retry_after_ns = r.U64();
+  if (!r.ok()) return malformed;
+  if (head.flag_b) {
+    const std::uint32_t match_len = r.U32();
+    if (!r.ok() || match_len > kMaxWireNodes) return malformed;
     infer::Matching matching(match_len);
-    for (std::uint32_t i = 0; i < match_len; ++i) {
-      if (!r.U32(&matching[i])) {
-        return Status::InvalidArgument("malformed response body");
-      }
-    }
+    r.U32s(matching);
+    if (!r.ok()) return malformed;
     response.top_matching = std::move(matching);
   }
-  if (!r.AtEnd()) return Status::InvalidArgument("malformed response body");
+  if (r.remaining() != 0) return malformed;
   return response;
 }
 
@@ -338,62 +321,49 @@ StatusOr<WireResponse> DecodeResponse(std::string_view body) {
 // Sweep request / response
 
 std::string EncodeSweepRequest(const WireSweepRequest& request) {
-  // The base slice is a full standard request body so DecodeSweepRequest can
-  // delegate model/pattern validation to DecodeRequest verbatim.
-  std::string base =
-      EncodeRequest(WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                                request.deadline_ns, request.model,
-                                request.pattern));
-  Writer w;
-  w.U32(static_cast<std::uint32_t>(base.size()));
-  w.Bytes(base);
-  w.U32(static_cast<std::uint32_t>(request.params.size()));
+  std::string out;
+  PutBase(out, WireRequest(request.id, serve::Request::Kind::kPatternProb,
+                           request.deadline_ns, request.model,
+                           request.pattern));
+  PutU32(out, static_cast<std::uint32_t>(request.params.size()));
   for (const std::vector<double>& point : request.params) {
-    w.U32(static_cast<std::uint32_t>(point.size()));
-    for (double phi : point) w.F64(phi);
+    PutU32(out, static_cast<std::uint32_t>(point.size()));
+    PutDoubles(out, point);
   }
-  return w.Take();
+  return out;
 }
 
 StatusOr<WireSweepRequest> DecodeSweepRequest(std::string_view body) {
-  Reader r(body);
-  std::uint32_t base_len = 0;
-  std::string base;
-  if (!r.U32(&base_len) || !r.Bytes(base_len, &base)) {
-    return Malformed("truncated sweep base request");
-  }
-  StatusOr<WireRequest> decoded = DecodeRequest(base);
+  ByteReader r(body);
+  StatusOr<WireRequest> decoded = ReadBase(r, "sweep");
   if (!decoded.ok()) return decoded.status();
-  if (decoded->kind != serve::Request::Kind::kPatternProb) {
-    return Malformed("sweep base request kind must be pattern_prob");
-  }
   const unsigned m = decoded->model.model().size();
 
-  std::uint32_t point_count = 0;
-  if (!r.U32(&point_count)) return Malformed("truncated sweep point count");
+  const std::uint32_t point_count = r.U32();
+  if (!r.ok()) return Malformed("truncated sweep point count");
   if (point_count > kMaxWirePoints) {
     return Malformed("too many sweep points");
   }
   std::vector<std::vector<double>> params;
   params.reserve(point_count);
   for (std::uint32_t p = 0; p < point_count; ++p) {
-    std::uint32_t len = 0;
-    if (!r.U32(&len)) return Malformed("truncated sweep point");
+    const std::uint32_t len = r.U32();
+    if (!r.ok()) return Malformed("truncated sweep point");
     if (len != 1 && len != m) {
       return Malformed("sweep point arity must be 1 or m");
     }
     std::vector<double> point(len);
-    for (std::uint32_t i = 0; i < len; ++i) {
-      if (!r.F64(&point[i])) return Malformed("truncated sweep point");
+    r.Doubles(point);
+    if (!r.ok()) return Malformed("truncated sweep point");
+    for (double phi : point) {
       // `!(x > 0 && x <= 1)` rather than the complement so NaN fails too.
-      if (!std::isfinite(point[i]) ||
-          !(point[i] > 0.0 && point[i] <= 1.0)) {
+      if (!std::isfinite(phi) || !(phi > 0.0 && phi <= 1.0)) {
         return Malformed("sweep dispersion not in (0, 1]");
       }
     }
     params.push_back(std::move(point));
   }
-  if (!r.AtEnd()) return Malformed("trailing bytes");
+  if (r.remaining() != 0) return Malformed("trailing bytes");
 
   return WireSweepRequest(decoded->id, decoded->deadline_ns,
                           std::move(decoded->model),
@@ -401,47 +371,27 @@ StatusOr<WireSweepRequest> DecodeSweepRequest(std::string_view body) {
 }
 
 std::string EncodeSweepResponse(const WireSweepResponse& response) {
-  Writer w;
-  w.U64(response.id);
-  w.U8(static_cast<std::uint8_t>(response.status.code()));
-  w.U8(0);
-  w.U8(0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(response.status.message().size()));
-  w.Bytes(response.status.message());
-  w.U32(static_cast<std::uint32_t>(response.probabilities.size()));
-  for (double p : response.probabilities) w.F64(p);
-  return w.Take();
+  std::string out;
+  PutResponseHead(out, response.id, response.status, false, false);
+  PutU32(out, static_cast<std::uint32_t>(response.probabilities.size()));
+  PutDoubles(out, response.probabilities);
+  return out;
 }
 
 StatusOr<WireSweepResponse> DecodeSweepResponse(std::string_view body) {
-  Reader r(body);
+  const Status malformed =
+      Status::InvalidArgument("malformed sweep response body");
+  ByteReader r(body);
+  ResponseHead head;
+  if (!ReadResponseHead(r, 0, &head)) return malformed;
+  const std::uint32_t count = r.U32();
+  if (!r.ok() || count > kMaxWirePoints) return malformed;
   WireSweepResponse response;
-  std::uint8_t code = 0;
-  std::uint8_t reserved[3];
-  std::uint32_t message_len = 0;
-  std::string message;
-  std::uint32_t count = 0;
-  if (!r.U64(&response.id) || !r.U8(&code) || !r.U8(&reserved[0]) ||
-      !r.U8(&reserved[1]) || !r.U8(&reserved[2]) || !r.U32(&message_len) ||
-      !r.Bytes(message_len, &message) || !r.U32(&count)) {
-    return Status::InvalidArgument("malformed sweep response body");
-  }
-  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
-      reserved[0] != 0 || reserved[1] != 0 || reserved[2] != 0 ||
-      count > kMaxWirePoints) {
-    return Status::InvalidArgument("malformed sweep response body");
-  }
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
+  response.id = head.id;
+  response.status = std::move(head.status);
   response.probabilities.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!r.F64(&response.probabilities[i])) {
-      return Status::InvalidArgument("malformed sweep response body");
-    }
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("malformed sweep response body");
-  }
+  r.Doubles(response.probabilities);
+  if (!r.ok() || r.remaining() != 0) return malformed;
   return response;
 }
 
@@ -449,36 +399,25 @@ StatusOr<WireSweepResponse> DecodeSweepResponse(std::string_view body) {
 // Hard request / response
 
 std::string EncodeHardRequest(const WireHardRequest& request) {
-  std::string base =
-      EncodeRequest(WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                                request.deadline_ns, request.model,
-                                request.pattern));
-  Writer w;
-  w.U32(static_cast<std::uint32_t>(base.size()));
-  w.Bytes(base);
-  w.F64(request.target_half_width);
-  return w.Take();
+  std::string out;
+  PutBase(out, WireRequest(request.id, serve::Request::Kind::kPatternProb,
+                           request.deadline_ns, request.model,
+                           request.pattern));
+  PutDouble(out, request.target_half_width);
+  return out;
 }
 
 StatusOr<WireHardRequest> DecodeHardRequest(std::string_view body) {
-  Reader r(body);
-  std::uint32_t base_len = 0;
-  std::string base;
-  if (!r.U32(&base_len) || !r.Bytes(base_len, &base)) {
-    return Malformed("truncated hard base request");
-  }
-  StatusOr<WireRequest> decoded = DecodeRequest(base);
+  ByteReader r(body);
+  StatusOr<WireRequest> decoded = ReadBase(r, "hard");
   if (!decoded.ok()) return decoded.status();
-  if (decoded->kind != serve::Request::Kind::kPatternProb) {
-    return Malformed("hard base request kind must be pattern_prob");
-  }
-  double target = 0.0;
-  if (!r.F64(&target)) return Malformed("truncated hard target");
+  const double target = r.Double();
+  if (!r.ok()) return Malformed("truncated hard target");
   // `!(x >= 0 && x <= 1)` rather than the complement so NaN fails too.
   if (!(target >= 0.0 && target <= 1.0)) {
     return Malformed("hard target not in [0, 1]");
   }
-  if (!r.AtEnd()) return Malformed("trailing bytes");
+  if (r.remaining() != 0) return Malformed("trailing bytes");
 
   return WireHardRequest(decoded->id, decoded->deadline_ns, target,
                          std::move(decoded->model),
@@ -486,43 +425,30 @@ StatusOr<WireHardRequest> DecodeHardRequest(std::string_view body) {
 }
 
 std::string EncodeHardResponse(const WireHardResponse& response) {
-  Writer w;
-  w.U64(response.id);
-  w.U8(static_cast<std::uint8_t>(response.status.code()));
-  w.U8(response.target_met ? 1 : 0);
-  w.U8(response.deadline_limited ? 1 : 0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(response.status.message().size()));
-  w.Bytes(response.status.message());
-  w.F64(response.estimate);
-  w.F64(response.std_error);
-  w.U64(response.n_samples);
-  return w.Take();
+  std::string out;
+  PutResponseHead(out, response.id, response.status, response.target_met,
+                  response.deadline_limited);
+  PutDouble(out, response.estimate);
+  PutDouble(out, response.std_error);
+  PutU64(out, response.n_samples);
+  return out;
 }
 
 StatusOr<WireHardResponse> DecodeHardResponse(std::string_view body) {
-  Reader r(body);
+  const Status malformed =
+      Status::InvalidArgument("malformed hard response body");
+  ByteReader r(body);
+  ResponseHead head;
+  if (!ReadResponseHead(r, 1, &head)) return malformed;
   WireHardResponse response;
-  std::uint8_t code = 0;
-  std::uint8_t target_met = 0;
-  std::uint8_t deadline_limited = 0;
-  std::uint8_t reserved = 0;
-  std::uint32_t message_len = 0;
-  std::string message;
-  if (!r.U64(&response.id) || !r.U8(&code) || !r.U8(&target_met) ||
-      !r.U8(&deadline_limited) || !r.U8(&reserved) || !r.U32(&message_len) ||
-      !r.Bytes(message_len, &message) || !r.F64(&response.estimate) ||
-      !r.F64(&response.std_error) || !r.U64(&response.n_samples)) {
-    return Status::InvalidArgument("malformed hard response body");
-  }
-  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
-      target_met > 1 || deadline_limited > 1 || reserved != 0) {
-    return Status::InvalidArgument("malformed hard response body");
-  }
-  if (!r.AtEnd()) return Status::InvalidArgument("malformed hard response body");
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
-  response.target_met = target_met != 0;
-  response.deadline_limited = deadline_limited != 0;
+  response.id = head.id;
+  response.status = std::move(head.status);
+  response.target_met = head.flag_a;
+  response.deadline_limited = head.flag_b;
+  response.estimate = r.Double();
+  response.std_error = r.Double();
+  response.n_samples = r.U64();
+  if (!r.ok() || r.remaining() != 0) return malformed;
   return response;
 }
 
@@ -530,96 +456,64 @@ StatusOr<WireHardResponse> DecodeHardResponse(std::string_view body) {
 // Consensus request / response
 
 std::string EncodeConsensusRequest(const WireConsensusRequest& request) {
-  std::string base =
-      EncodeRequest(WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                                request.deadline_ns, request.model,
-                                infer::LabelPattern()));
-  Writer w;
-  w.U32(static_cast<std::uint32_t>(base.size()));
-  w.Bytes(base);
-  w.U32(request.top_k);
-  return w.Take();
+  std::string out;
+  PutBase(out, WireRequest(request.id, serve::Request::Kind::kPatternProb,
+                           request.deadline_ns, request.model,
+                           infer::LabelPattern()));
+  PutU32(out, request.top_k);
+  return out;
 }
 
 StatusOr<WireConsensusRequest> DecodeConsensusRequest(std::string_view body) {
-  Reader r(body);
-  std::uint32_t base_len = 0;
-  std::string base;
-  if (!r.U32(&base_len) || !r.Bytes(base_len, &base)) {
-    return Malformed("truncated consensus base request");
-  }
-  StatusOr<WireRequest> decoded = DecodeRequest(base);
+  ByteReader r(body);
+  StatusOr<WireRequest> decoded = ReadBase(r, "consensus");
   if (!decoded.ok()) return decoded.status();
-  if (decoded->kind != serve::Request::Kind::kPatternProb) {
-    return Malformed("consensus base request kind must be pattern_prob");
-  }
   if (decoded->pattern.NodeCount() != 0) {
     return Malformed("consensus base pattern must be empty");
   }
-  std::uint32_t top_k = 0;
-  if (!r.U32(&top_k)) return Malformed("truncated consensus top_k");
+  const std::uint32_t top_k = r.U32();
+  if (!r.ok()) return Malformed("truncated consensus top_k");
   if (top_k == 0 || top_k > kMaxWireItems) {
     return Malformed("consensus top_k out of range");
   }
-  if (!r.AtEnd()) return Malformed("trailing bytes");
+  if (r.remaining() != 0) return Malformed("trailing bytes");
 
   return WireConsensusRequest(decoded->id, decoded->deadline_ns, top_k,
                               std::move(decoded->model));
 }
 
 std::string EncodeConsensusResponse(const WireConsensusResponse& response) {
-  Writer w;
-  w.U64(response.id);
-  w.U8(static_cast<std::uint8_t>(response.status.code()));
-  w.U8(0);
-  w.U8(0);
-  w.U8(0);
-  w.U32(static_cast<std::uint32_t>(response.status.message().size()));
-  w.Bytes(response.status.message());
-  w.U32(static_cast<std::uint32_t>(response.ranking.size()));
-  for (rim::ItemId item : response.ranking) w.U32(item);
-  w.F64(response.mean_footrule);
-  w.F64(response.footrule_std_error);
-  w.F64(response.mean_kendall);
-  w.F64(response.kendall_std_error);
-  w.U64(response.n_samples);
-  return w.Take();
+  std::string out;
+  PutResponseHead(out, response.id, response.status, false, false);
+  PutU32(out, static_cast<std::uint32_t>(response.ranking.size()));
+  PutU32s(out, response.ranking);
+  PutDouble(out, response.mean_footrule);
+  PutDouble(out, response.footrule_std_error);
+  PutDouble(out, response.mean_kendall);
+  PutDouble(out, response.kendall_std_error);
+  PutU64(out, response.n_samples);
+  return out;
 }
 
 StatusOr<WireConsensusResponse> DecodeConsensusResponse(std::string_view body) {
-  Reader r(body);
+  const Status malformed =
+      Status::InvalidArgument("malformed consensus response body");
+  ByteReader r(body);
+  ResponseHead head;
+  if (!ReadResponseHead(r, 0, &head)) return malformed;
+  const std::uint32_t ranking_len = r.U32();
+  if (!r.ok() || ranking_len > kMaxWireItems) return malformed;
   WireConsensusResponse response;
-  std::uint8_t code = 0;
-  std::uint8_t reserved[3];
-  std::uint32_t message_len = 0;
-  std::string message;
-  std::uint32_t ranking_len = 0;
-  if (!r.U64(&response.id) || !r.U8(&code) || !r.U8(&reserved[0]) ||
-      !r.U8(&reserved[1]) || !r.U8(&reserved[2]) || !r.U32(&message_len) ||
-      !r.Bytes(message_len, &message) || !r.U32(&ranking_len)) {
-    return Status::InvalidArgument("malformed consensus response body");
-  }
-  if (code > static_cast<std::uint8_t>(StatusCode::kInternal) ||
-      reserved[0] != 0 || reserved[1] != 0 || reserved[2] != 0 ||
-      ranking_len > kMaxWireItems) {
-    return Status::InvalidArgument("malformed consensus response body");
-  }
+  response.id = head.id;
+  response.status = std::move(head.status);
   response.ranking.resize(ranking_len);
-  for (std::uint32_t i = 0; i < ranking_len; ++i) {
-    if (!r.U32(&response.ranking[i])) {
-      return Status::InvalidArgument("malformed consensus response body");
-    }
-  }
-  if (!r.F64(&response.mean_footrule) ||
-      !r.F64(&response.footrule_std_error) ||
-      !r.F64(&response.mean_kendall) || !r.F64(&response.kendall_std_error) ||
-      !r.U64(&response.n_samples)) {
-    return Status::InvalidArgument("malformed consensus response body");
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("malformed consensus response body");
-  }
-  response.status = Status(static_cast<StatusCode>(code), std::move(message));
+  r.U32s(response.ranking);
+  response.mean_footrule = r.Double();
+  response.footrule_std_error = r.Double();
+  response.mean_kendall = r.Double();
+  response.kendall_std_error = r.Double();
+  response.n_samples = r.U64();
+  if (!r.ok() || r.remaining() != 0) return malformed;
   return response;
 }
 

@@ -3,7 +3,11 @@
 ///
 /// Layouts (all integers little-endian; doubles as their IEEE-754 bit
 /// pattern in a little-endian u64 — *never* text, so answers survive the
-/// wire bit-exactly):
+/// wire bit-exactly). The codec writes and reads through common/bytes.h,
+/// moving each array (reference order, insertion row, label list) as one
+/// bulk copy; the bytes are exactly those of the earlier element-at-a-time
+/// codec, so the protocol version is unchanged (golden bytes in
+/// tests/net/codec_test.cc pin this):
 ///
 /// ### Request body (FrameType::kRequest)
 /// ```

@@ -1,29 +1,9 @@
 #include "ppref/net/frame.h"
 
-#include <cstring>
+#include "ppref/common/bytes.h"
 
 namespace ppref::net {
 namespace {
-
-void PutU16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
 
 bool KnownType(std::uint8_t type) {
   return type >= static_cast<std::uint8_t>(FrameType::kRequest) &&
@@ -32,7 +12,7 @@ bool KnownType(std::uint8_t type) {
 
 /// Validates one complete 12-byte header prefix.
 Status ValidateHeader(const char* header, std::size_t max_body_bytes) {
-  if (GetU32(header) != kWireMagic) {
+  if (LoadU32(header) != kWireMagic) {
     return Status::InvalidArgument("bad frame magic");
   }
   if (static_cast<std::uint8_t>(header[4]) != kWireVersion) {
@@ -44,7 +24,7 @@ Status ValidateHeader(const char* header, std::size_t max_body_bytes) {
   if (header[6] != 0 || header[7] != 0) {
     return Status::InvalidArgument("nonzero reserved frame flags");
   }
-  if (GetU32(header + 8) > max_body_bytes) {
+  if (LoadU32(header + 8) > max_body_bytes) {
     return Status::InvalidArgument("frame body exceeds size limit");
   }
   return Status::Ok();
@@ -56,9 +36,9 @@ std::string EncodeFrame(FrameType type, std::string_view body) {
   std::string out;
   out.reserve(kFrameHeaderBytes + body.size());
   PutU32(out, kWireMagic);
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(type));
-  PutU16(out, 0);  // flags
+  PutU8(out, kWireVersion);
+  PutU8(out, static_cast<std::uint8_t>(type));
+  out.append(2, '\0');  // flags
   PutU32(out, static_cast<std::uint32_t>(body.size()));
   out.append(body);
   return out;
@@ -82,7 +62,7 @@ bool FrameAssembler::Next(Frame* out) {
   const std::size_t pending = buffer_.size() - consumed_;
   if (pending < kFrameHeaderBytes) return false;
   const char* header = buffer_.data() + consumed_;
-  const std::size_t body_len = GetU32(header + 8);
+  const std::size_t body_len = LoadU32(header + 8);
   if (pending < kFrameHeaderBytes + body_len) return false;
   out->type = static_cast<FrameType>(static_cast<std::uint8_t>(header[5]));
   out->body.assign(header + kFrameHeaderBytes, body_len);

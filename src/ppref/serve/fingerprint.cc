@@ -28,7 +28,7 @@ std::uint64_t FingerprintModel(const rim::RimModel& model) {
   for (unsigned t = 0; t < model.size(); ++t) {
     const std::vector<double>& row = model.insertion().Row(t);
     hash.Mix(row.size());
-    for (double p : row) hash.MixDouble(p);
+    hash.MixDoubles(row);
   }
   return hash.digest();
 }

@@ -31,19 +31,15 @@ bool CountFits(const ByteReader& reader, std::uint64_t count,
 void AppendModel(std::string& out, const infer::LabeledRimModel& model) {
   const unsigned m = model.size();
   PutU32(out, m);
-  for (unsigned p = 0; p < m; ++p) {
-    PutU32(out, model.model().reference().At(p));
-  }
+  PutU32s(out, model.model().reference().order());
   for (unsigned t = 0; t < m; ++t) {
-    for (double prob : model.model().insertion().Row(t)) {
-      PutDouble(out, prob);
-    }
+    PutDoubles(out, model.model().insertion().Row(t));
   }
   for (rim::ItemId item = 0; item < m; ++item) {
     const std::vector<infer::LabelId>& labels =
         model.labeling().LabelsOf(item);
     PutU32(out, static_cast<std::uint32_t>(labels.size()));
-    for (infer::LabelId label : labels) PutU32(out, label);
+    PutU32s(out, labels);
   }
 }
 
@@ -51,25 +47,25 @@ std::optional<infer::LabeledRimModel> ReadModel(ByteReader& reader) {
   const std::uint32_t m = reader.U32();
   if (!reader.ok() || !CountFits(reader, m, 4)) return std::nullopt;
   std::vector<rim::ItemId> order(m);
-  std::vector<bool> seen(m, false);
-  for (std::uint32_t p = 0; p < m; ++p) {
-    order[p] = reader.U32();
-    // Ranking's constructor CHECKs permutation-ness; validate here so a
-    // corrupt payload decodes to nullopt instead of aborting.
-    if (order[p] >= m || (reader.ok() && seen[order[p]])) return std::nullopt;
-    if (reader.ok()) seen[order[p]] = true;
-  }
+  reader.U32s(order);
   if (!reader.ok()) return std::nullopt;
+  // Ranking's constructor CHECKs permutation-ness; validate here so a
+  // corrupt payload decodes to nullopt instead of aborting.
+  std::vector<bool> seen(m, false);
+  for (rim::ItemId item : order) {
+    if (item >= m || seen[item]) return std::nullopt;
+    seen[item] = true;
+  }
   std::vector<std::vector<double>> rows(m);
   for (std::uint32_t t = 0; t < m; ++t) {
     if (!CountFits(reader, t + 1, 8)) return std::nullopt;
     rows[t].resize(t + 1);
+    reader.Doubles(rows[t]);
     double sum = 0.0;
-    for (std::uint32_t j = 0; j <= t; ++j) {
-      rows[t][j] = reader.Double();
+    for (double prob : rows[t]) {
       // InsertionFunction CHECKs non-negative rows summing to 1; pre-check.
-      if (!(rows[t][j] >= 0.0)) return std::nullopt;  // rejects NaN too
-      sum += rows[t][j];
+      if (!(prob >= 0.0)) return std::nullopt;  // rejects NaN too
+      sum += prob;
     }
     if (!(sum > 1.0 - rim::InsertionFunction::kRowSumTolerance &&
           sum < 1.0 + rim::InsertionFunction::kRowSumTolerance)) {
@@ -143,7 +139,7 @@ std::string EncodePlanPayload(const infer::LabeledRimModel& model,
   AppendModel(out, model);
   AppendPattern(out, pattern);
   PutU32(out, static_cast<std::uint32_t>(tracked.size()));
-  for (infer::LabelId label : tracked) PutU32(out, label);
+  PutU32s(out, tracked);
   plan.AppendDerived(out);
   return out;
 }
@@ -157,7 +153,7 @@ std::optional<DecodedPlan> DecodePlanPayload(std::string_view payload) {
   const std::uint32_t tracked_count = reader.U32();
   if (!reader.ok() || !CountFits(reader, tracked_count, 4)) return std::nullopt;
   std::vector<infer::LabelId> tracked(tracked_count);
-  for (std::uint32_t i = 0; i < tracked_count; ++i) tracked[i] = reader.U32();
+  reader.U32s(tracked);
   if (!reader.ok()) return std::nullopt;
   return DecodedPlan{std::move(*model), std::move(*pattern),
                      std::move(tracked), std::string(reader.Rest())};
@@ -172,8 +168,8 @@ std::string EncodeCircuitPayload(const Circuit& circuit) {
   PutU32(out, static_cast<std::uint32_t>(circuit.consts().size()));
   PutU32(out, static_cast<std::uint32_t>(circuit.prefix_steps().size()));
   PutU64(out, circuit.size());
-  for (double value : circuit.consts()) PutDouble(out, value);
-  for (unsigned step : circuit.prefix_steps()) PutU32(out, step);
+  PutDoubles(out, circuit.consts());
+  PutU32s(out, circuit.prefix_steps());
   // Pad so the arena sits at a 16-byte offset from the payload start; the
   // segment layer 16-aligns payload starts in the file, so the mapped arena
   // lands aligned in memory.
@@ -194,15 +190,15 @@ std::optional<Circuit> DecodeCircuitPayload(std::string_view payload,
   const std::uint64_t node_count = reader.U64();
   if (!reader.ok() || !CountFits(reader, const_count, 8)) return std::nullopt;
   std::vector<double> consts(const_count);
-  for (std::uint32_t i = 0; i < const_count; ++i) consts[i] = reader.Double();
+  reader.Doubles(consts);
   if (!CountFits(reader, prefix_count, 4)) return std::nullopt;
   std::vector<unsigned> prefix_steps(prefix_count);
-  std::vector<bool> is_prefix_step;
-  for (std::uint32_t i = 0; i < prefix_count; ++i) {
-    prefix_steps[i] = reader.U32();
-    if (prefix_steps[i] >= items) return std::nullopt;
-  }
+  reader.U32s(prefix_steps);
   if (!reader.ok()) return std::nullopt;
+  std::vector<bool> is_prefix_step;
+  for (unsigned step : prefix_steps) {
+    if (step >= items) return std::nullopt;
+  }
   is_prefix_step.assign(items, false);
   for (unsigned step : prefix_steps) is_prefix_step[step] = true;
   const std::size_t consumed = payload.size() - reader.remaining();
@@ -292,7 +288,7 @@ std::string EncodeResultPayload(double probability,
   PutDouble(out, probability);
   if (matching.has_value()) {
     PutU32(out, static_cast<std::uint32_t>(matching->size()));
-    for (rim::ItemId item : *matching) PutU32(out, item);
+    PutU32s(out, *matching);
   }
   return out;
 }
@@ -306,7 +302,7 @@ std::optional<DecodedResult> DecodeResultPayload(std::string_view payload) {
     const std::uint32_t n = reader.U32();
     if (!reader.ok() || !CountFits(reader, n, 4)) return std::nullopt;
     infer::Matching matching(n);
-    for (std::uint32_t i = 0; i < n; ++i) matching[i] = reader.U32();
+    reader.U32s(matching);
     result.top_matching = std::move(matching);
   }
   if (!reader.ok() || reader.remaining() != 0) return std::nullopt;

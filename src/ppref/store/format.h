@@ -5,7 +5,7 @@
 /// CRC-protected records:
 ///
 ///   offset 0   u32  magic            "PPST" (0x54535050 little-endian)
-///   offset 4   u32  format_version   currently 1
+///   offset 4   u32  format_version   currently 2 (see kFormatVersion)
 ///   offset 8   u64  reserved         must be 0
 ///
 ///   record (aligned to a 16-byte file offset):
@@ -46,8 +46,11 @@ namespace ppref::store {
 /// "PPST" read as a little-endian u32.
 inline constexpr std::uint32_t kSegmentMagic = 0x54535050u;
 
-/// Bumped on any incompatible layout change; readers reject other versions.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bumped on any incompatible change — to the layout, or to the function
+/// that computes record keys; readers reject other versions.
+///   v1: keys are FNV-1a fingerprints.
+///   v2: keys are common/hash.h word-wise fingerprints (same layout as v1).
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Segment file header size.
 inline constexpr std::size_t kFileHeaderBytes = 16;

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "ppref/common/bytes.h"
 #include "ppref/common/check.h"
@@ -80,11 +81,14 @@ StatusOr<std::shared_ptr<MappedSegment>> MappedSegment::Open(std::string path) {
     ::close(fd);
     return Status::Internal("bad segment magic in " + segment->path_);
   }
-  if (LoadU32(data + 4) != kFormatVersion) {
+  if (const std::uint32_t version = LoadU32(data + 4);
+      version != kFormatVersion) {
     ::munmap(map, size);
     ::close(fd);
-    return Status::Internal("unsupported segment format version in " +
-                            segment->path_);
+    return Status::Internal("unsupported segment format version " +
+                            std::to_string(version) + " in " +
+                            segment->path_ + " (expected " +
+                            std::to_string(kFormatVersion) + ")");
   }
   if (LoadU64(data + 8) != 0) {
     ::munmap(map, size);

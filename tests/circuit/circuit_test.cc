@@ -340,6 +340,9 @@ TEST(CircuitServeTest, CircuitCacheEvictsAtCapacity) {
   const auto model = ppref::testing::RandomLabeledMallows(5, 0.5, 3, 0.7, rng);
   serve::ServerOptions options;
   options.circuit_cache_capacity = 1;
+  // One shard, so the capacity of 1 is global: with 8 shards each shard
+  // keeps one entry, and evictions would hinge on two keys sharing a shard.
+  options.cache_shards = 1;
   serve::Server server(options);
   const auto pattern_a = ppref::testing::RandomDagPattern(2, 0.5, rng);
   const auto pattern_b = ppref::testing::RandomDagPattern(3, 0.5, rng);

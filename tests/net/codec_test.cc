@@ -14,6 +14,9 @@
 #include "gtest/gtest.h"
 #include "ppref/common/random.h"
 #include "ppref/net/frame.h"
+#include "ppref/rim/insertion.h"
+#include "ppref/rim/ranking.h"
+#include "ppref/rim/rim_model.h"
 #include "ppref/serve/workload.h"
 
 namespace ppref::net {
@@ -384,6 +387,82 @@ TEST(NetCodecTest, ConsensusResponseRoundTripsAllFields) {
   EXPECT_EQ(decoded->mean_kendall, response.mean_kendall);
   EXPECT_EQ(decoded->kendall_std_error, response.kendall_std_error);
   EXPECT_EQ(decoded->n_samples, response.n_samples);
+}
+
+// --- golden bytes ----------------------------------------------------------
+//
+// The hex literals were captured from the byte-at-a-time encoder that
+// preceded the bulk codec. Round-trip tests alone would pass if the encoder
+// and decoder drifted together; these pin the wire format itself, so any
+// drift fails here and must come with a kWireVersion bump.
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    out.push_back(kDigits[static_cast<unsigned char>(c) & 0xF]);
+  }
+  return out;
+}
+
+TEST(NetCodecGoldenTest, RequestBytesAreFixed) {
+  infer::ItemLabeling labeling(3);
+  labeling.AddLabel(0, 7);
+  labeling.AddLabel(1, 8);
+  labeling.AddLabel(1, 9);
+  infer::LabelPattern pattern;
+  pattern.AddNode(7);
+  pattern.AddNode(9);
+  pattern.AddEdge(0, 1);
+  WireRequest request(
+      0x0102030405060708ull, serve::Request::Kind::kTopMatching, 123456789,
+      infer::LabeledRimModel(
+          rim::RimModel(rim::Ranking({2, 0, 1}),
+                        rim::InsertionFunction(
+                            {{1.0}, {0.25, 0.75}, {0.5, 0.25, 0.25}})),
+          std::move(labeling)),
+      std::move(pattern));
+  request.idempotency_key = 0xA1B2C3D4E5F60718ull;
+
+  EXPECT_EQ(Hex(EncodeRequest(request)),
+            // preamble: id, kind, flags, reserved, deadline, idempotency key
+            "0807060504030201" "01" "01" "0000" "15cd5b0700000000"
+            "1807f6e5d4c3b2a1"
+            // m, reference order
+            "03000000" "020000000000000001000000"
+            // insertion rows 1 | 0.25 0.75 | 0.5 0.25 0.25
+            "000000000000f03f"
+            "000000000000d03f" "000000000000e83f"
+            "000000000000e03f" "000000000000d03f" "000000000000d03f"
+            // labels: {7}, {8, 9}, {}
+            "01000000" "07000000"
+            "02000000" "08000000" "09000000"
+            "00000000"
+            // pattern: 2 nodes (7, 9), 1 edge 0 -> 1
+            "02000000" "07000000" "09000000"
+            "01000000" "00000000" "01000000");
+}
+
+TEST(NetCodecGoldenTest, ResponseBytesAreFixed) {
+  WireResponse response;
+  response.id = 0x1122334455667788ull;
+  response.status = Status::DeadlineExceeded("late");
+  response.probability = 0.375;
+  response.std_error = 0.125;
+  response.approximate = true;
+  response.retry_after_ns = 5000000;
+  response.top_matching = infer::Matching{2, 0};
+
+  EXPECT_EQ(Hex(EncodeResponse(response)),
+            // id, code, approximate, has_top_matching, reserved
+            "8877665544332211" "02" "01" "01" "00"
+            // message "late"
+            "04000000" "6c617465"
+            // probability, std_error, retry_after_ns
+            "000000000000d83f" "000000000000c03f" "404b4c0000000000"
+            // top matching {2, 0}
+            "02000000" "02000000" "00000000");
 }
 
 // --- fuzzers ---------------------------------------------------------------

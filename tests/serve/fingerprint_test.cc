@@ -37,6 +37,12 @@ TEST(ServeFingerprintTest, ModelStableAcrossConstructionPaths) {
   EXPECT_EQ(FingerprintModel(direct), FingerprintModel(rebuilt));
 }
 
+TEST(ServeFingerprintTest, ModelFingerprintIsPinned) {
+  // The model fingerprint keys persisted store records; a change to it (or
+  // to common/hash.h) must bump store::kFormatVersion.
+  EXPECT_EQ(FingerprintModel(SmallMallows(5, 0.5)), 0xfc77cc5d28eaef8cull);
+}
+
 TEST(ServeFingerprintTest, ModelPerturbationsChangeFingerprint) {
   const rim::RimModel base = SmallMallows(5, 0.5);
   const std::uint64_t fp = FingerprintModel(base);

@@ -124,6 +124,22 @@ TEST(StoreSegmentTest, BadVersionIsInternal) {
   EXPECT_EQ(opened.status().code(), StatusCode::kInternal);
 }
 
+TEST(StoreSegmentTest, VersionOneSegmentIsRefusedByName) {
+  // A v1 directory holds records keyed by the previous fingerprint
+  // function; serving them would miss every key. Opening must fail and say
+  // which version it found and which it expected.
+  ASSERT_EQ(kFormatVersion, 2u);
+  const std::string path = TempPath("v1");
+  WriteFile(path, FileHeader(kSegmentMagic, 1));
+  auto opened = MappedSegment::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInternal);
+  EXPECT_NE(opened.status().message().find("version 1"), std::string::npos)
+      << opened.status().message();
+  EXPECT_NE(opened.status().message().find("(expected 2)"), std::string::npos)
+      << opened.status().message();
+}
+
 TEST(StoreSegmentTest, NonzeroHeaderReservedIsInternal) {
   const std::string path = TempPath("reserved");
   WriteFile(path, FileHeader(kSegmentMagic, kFormatVersion, 7));
