@@ -53,6 +53,22 @@ store::StoreOptions BenchStoreOptions(const std::string& dir) {
   return options;
 }
 
+/// Pr(g | σ, Π, λ) through the serving boundary; a non-OK status fails the
+/// bench.
+double Probability(serve::Server& server, const infer::LabeledRimModel& model,
+                   const infer::LabelPattern& pattern) {
+  serve::Request request;
+  request.model = &model;
+  request.pattern = &pattern;
+  const serve::Response response = server.Evaluate(request);
+  if (!response.status.ok()) {
+    std::fprintf(stderr, "evaluate failed: %s\n",
+                 response.status.ToString().c_str());
+    std::exit(1);
+  }
+  return response.probability;
+}
+
 }  // namespace
 
 int main() {
@@ -83,7 +99,7 @@ int main() {
   const double cold_ms = TimeMs([&] {
     serve::Server server;
     for (unsigned q = 0; q < kQueries; ++q) {
-      cold_answers.push_back(server.PatternProbability(models[q], patterns[q]));
+      cold_answers.push_back(Probability(server, models[q], patterns[q]));
     }
   });
 
@@ -100,7 +116,7 @@ int main() {
     options.store = persistent.get();
     serve::Server server(options);
     for (unsigned q = 0; q < kQueries; ++q) {
-      server.PatternProbability(models[q], patterns[q]);
+      Probability(server, models[q], patterns[q]);
     }
     const Status flushed = persistent->Flush();
     if (!flushed.ok()) {
@@ -121,8 +137,7 @@ int main() {
     options.store = persistent.get();
     server = std::make_unique<serve::Server>(options);
     for (unsigned q = 0; q < kQueries; ++q) {
-      disk_answers.push_back(
-          server->PatternProbability(models[q], patterns[q]));
+      disk_answers.push_back(Probability(*server, models[q], patterns[q]));
     }
   });
   const serve::ServerStats warm_stats = server->Snapshot();
@@ -134,7 +149,7 @@ int main() {
         memory_answers.clear();
         for (unsigned q = 0; q < kQueries; ++q) {
           memory_answers.push_back(
-              server->PatternProbability(models[q], patterns[q]));
+              Probability(*server, models[q], patterns[q]));
         }
       },
       /*min_ms=*/100.0);

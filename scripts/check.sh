@@ -27,8 +27,10 @@
 #      binary query + JSON query + HTTP /sweep (a circuit-backed
 #      param-sweep, each point verified bit-identical) + HTTP /hard and
 #      /consensus (one hard-tier adaptive estimate and one consensus top-k,
-#      each replayed byte-equal) + /metrics via ppref_net_smoke, then
-#      SIGTERM and require a graceful drain with exit 0.
+#      each replayed byte-equal) + the same sweep, hard and consensus
+#      queries over the binary protocol (each bit-identical to its HTTP
+#      answer) + /metrics via ppref_net_smoke, then SIGTERM and require a
+#      graceful drain with exit 0.
 #   6. Warm-restart smoke: the same daemon started with --store-dir,
 #      queried, SIGTERMed (the drain flushes the store), then restarted on
 #      the same directory and re-queried with --expect-store-hits — the

@@ -65,97 +65,51 @@ StatusOr<Frame> Client::ReadFrame(std::uint64_t deadline_ns) {
   }
 }
 
-StatusOr<WireResponse> Client::Call(const WireRequest& request) {
+template <typename Request, typename Response>
+StatusOr<Response> Client::RoundTrip(
+    const Request& request, FrameType type,
+    std::string (*encode)(const Request&), FrameType reply,
+    StatusOr<Response> (*decode)(std::string_view)) {
   const std::uint64_t deadline =
       internal_io::DeadlineAfterMs(options_.total_deadline_ms);
-  const std::string body = EncodeRequest(request);
-  Status written = WriteAll(EncodeFrame(FrameType::kRequest, body), deadline);
+  Status written = WriteAll(EncodeFrame(type, encode(request)), deadline);
   if (!written.ok()) return written;
   while (true) {
     StatusOr<Frame> frame = ReadFrame(deadline);
     if (!frame.ok()) return frame.status();
     if (frame->type == FrameType::kPong) continue;
-    if (frame->type != FrameType::kResponse) {
+    if (frame->type != reply) {
       return Status::Internal("unexpected frame type from server");
     }
-    StatusOr<WireResponse> response = DecodeResponse(frame->body);
+    StatusOr<Response> response = decode(frame->body);
     if (!response.ok()) return response.status();
     if (response->id != request.id) {
       return Status::Internal("response id mismatch");
     }
     return response;
   }
+}
+
+StatusOr<WireResponse> Client::Call(const WireRequest& request) {
+  return RoundTrip(request, FrameType::kRequest, &EncodeRequest,
+                   FrameType::kResponse, &DecodeResponse);
 }
 
 StatusOr<WireSweepResponse> Client::CallSweep(const WireSweepRequest& request) {
-  const std::uint64_t deadline =
-      internal_io::DeadlineAfterMs(options_.total_deadline_ms);
-  const std::string body = EncodeSweepRequest(request);
-  Status written =
-      WriteAll(EncodeFrame(FrameType::kSweepRequest, body), deadline);
-  if (!written.ok()) return written;
-  while (true) {
-    StatusOr<Frame> frame = ReadFrame(deadline);
-    if (!frame.ok()) return frame.status();
-    if (frame->type == FrameType::kPong) continue;
-    if (frame->type != FrameType::kSweepResponse) {
-      return Status::Internal("unexpected frame type from server");
-    }
-    StatusOr<WireSweepResponse> response = DecodeSweepResponse(frame->body);
-    if (!response.ok()) return response.status();
-    if (response->id != request.id) {
-      return Status::Internal("response id mismatch");
-    }
-    return response;
-  }
+  return RoundTrip(request, FrameType::kSweepRequest, &EncodeSweepRequest,
+                   FrameType::kSweepResponse, &DecodeSweepResponse);
 }
 
 StatusOr<WireHardResponse> Client::CallHard(const WireHardRequest& request) {
-  const std::uint64_t deadline =
-      internal_io::DeadlineAfterMs(options_.total_deadline_ms);
-  const std::string body = EncodeHardRequest(request);
-  Status written =
-      WriteAll(EncodeFrame(FrameType::kHardRequest, body), deadline);
-  if (!written.ok()) return written;
-  while (true) {
-    StatusOr<Frame> frame = ReadFrame(deadline);
-    if (!frame.ok()) return frame.status();
-    if (frame->type == FrameType::kPong) continue;
-    if (frame->type != FrameType::kHardResponse) {
-      return Status::Internal("unexpected frame type from server");
-    }
-    StatusOr<WireHardResponse> response = DecodeHardResponse(frame->body);
-    if (!response.ok()) return response.status();
-    if (response->id != request.id) {
-      return Status::Internal("response id mismatch");
-    }
-    return response;
-  }
+  return RoundTrip(request, FrameType::kHardRequest, &EncodeHardRequest,
+                   FrameType::kHardResponse, &DecodeHardResponse);
 }
 
 StatusOr<WireConsensusResponse> Client::CallConsensus(
     const WireConsensusRequest& request) {
-  const std::uint64_t deadline =
-      internal_io::DeadlineAfterMs(options_.total_deadline_ms);
-  const std::string body = EncodeConsensusRequest(request);
-  Status written =
-      WriteAll(EncodeFrame(FrameType::kConsensusRequest, body), deadline);
-  if (!written.ok()) return written;
-  while (true) {
-    StatusOr<Frame> frame = ReadFrame(deadline);
-    if (!frame.ok()) return frame.status();
-    if (frame->type == FrameType::kPong) continue;
-    if (frame->type != FrameType::kConsensusResponse) {
-      return Status::Internal("unexpected frame type from server");
-    }
-    StatusOr<WireConsensusResponse> response =
-        DecodeConsensusResponse(frame->body);
-    if (!response.ok()) return response.status();
-    if (response->id != request.id) {
-      return Status::Internal("response id mismatch");
-    }
-    return response;
-  }
+  return RoundTrip(request, FrameType::kConsensusRequest,
+                   &EncodeConsensusRequest, FrameType::kConsensusResponse,
+                   &DecodeConsensusResponse);
 }
 
 Status Client::Ping() {

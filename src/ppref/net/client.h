@@ -95,6 +95,16 @@ class Client {
   Status WriteAll(std::string_view bytes, std::uint64_t deadline_ns);
   StatusOr<Frame> ReadFrame(std::uint64_t deadline_ns);
 
+  /// The one request/response exchange behind every Call*: sends `request`
+  /// encoded into a `type` frame, skips interleaved pongs, and decodes the
+  /// `reply` frame, whose id must echo the request's. The total deadline
+  /// runs from entry, before the encode.
+  template <typename Request, typename Response>
+  StatusOr<Response> RoundTrip(const Request& request, FrameType type,
+                               std::string (*encode)(const Request&),
+                               FrameType reply,
+                               StatusOr<Response> (*decode)(std::string_view));
+
   int fd_ = -1;
   Options options_;
   FrameAssembler assembler_;

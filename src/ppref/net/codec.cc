@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,13 +24,71 @@ Status Malformed(std::string_view what) {
                                  std::string(what));
 }
 
-/// The u32-length-prefixed standard request body that sweep, hard and
-/// consensus requests wrap, so their decoders can delegate model/pattern
-/// validation to DecodeRequest verbatim.
-void PutBase(std::string& out, const WireRequest& base) {
-  const std::string encoded = EncodeRequest(base);
-  PutU32(out, static_cast<std::uint32_t>(encoded.size()));
-  out.append(encoded);
+/// Appends a standard request body (the layout EncodeRequest documents).
+void PutRequest(std::string& out, std::uint64_t id, serve::Request::Kind kind,
+                std::uint64_t deadline_ns, std::uint64_t idempotency_key,
+                const infer::LabeledRimModel& labeled,
+                const infer::LabelPattern& pattern) {
+  const rim::RimModel& model = labeled.model();
+  const infer::ItemLabeling& labeling = labeled.labeling();
+  const std::size_t m = model.size();
+  const unsigned nodes = pattern.NodeCount();
+  const bool keyed = idempotency_key != 0;
+  std::size_t label_words = 0;
+  for (unsigned item = 0; item < m; ++item) {
+    label_words += 1 + labeling.LabelsOf(item).size();
+  }
+  std::size_t edge_count = 0;
+  for (unsigned from = 0; from < nodes; ++from) {
+    edge_count += pattern.Children(from).size();
+  }
+
+  out.reserve(out.size() + kPreambleBytes + (keyed ? 8 : 0) + 4 * (1 + m) +
+              8 * (m * (m + 1) / 2) + 4 * label_words + 4 * (2 + nodes) +
+              8 * edge_count);
+  PutU64(out, id);
+  PutU8(out, static_cast<std::uint8_t>(kind));
+  PutU8(out, keyed ? kRequestFlagIdempotencyKey : 0);
+  PutU8(out, 0);
+  PutU8(out, 0);
+  PutU64(out, deadline_ns);
+  if (keyed) PutU64(out, idempotency_key);
+
+  PutU32(out, static_cast<std::uint32_t>(m));
+  PutU32s(out, model.reference().order());
+  for (unsigned t = 0; t < m; ++t) PutDoubles(out, model.insertion().Row(t));
+  for (unsigned item = 0; item < m; ++item) {
+    const std::vector<infer::LabelId>& labels = labeling.LabelsOf(item);
+    PutU32(out, static_cast<std::uint32_t>(labels.size()));
+    PutU32s(out, labels);
+  }
+
+  PutU32(out, nodes);
+  for (unsigned node = 0; node < nodes; ++node) {
+    PutU32(out, pattern.NodeLabel(node));
+  }
+  PutU32(out, static_cast<std::uint32_t>(edge_count));
+  for (unsigned from = 0; from < nodes; ++from) {
+    for (unsigned to : pattern.Children(from)) {
+      PutU32(out, from);
+      PutU32(out, to);
+    }
+  }
+}
+
+/// Appends the u32-length-prefixed standard request body (kind
+/// pattern_prob, unkeyed) that sweep, hard and consensus requests wrap, so
+/// their decoders can delegate model/pattern validation to DecodeRequest
+/// verbatim. The body is written in place and its length back-patched.
+void PutBase(std::string& out, std::uint64_t id, std::uint64_t deadline_ns,
+             const infer::LabeledRimModel& model,
+             const infer::LabelPattern& pattern) {
+  const std::size_t length_at = out.size();
+  PutU32(out, 0);
+  PutRequest(out, id, serve::Request::Kind::kPatternProb, deadline_ns,
+             /*idempotency_key=*/0, model, pattern);
+  const auto length = static_cast<std::uint32_t>(out.size() - length_at - 4);
+  std::memcpy(out.data() + length_at, &length, 4);  // little-endian host
 }
 
 /// Reads and validates a wrapped base request; `what` names the wrapper in
@@ -96,53 +155,9 @@ bool ReadResponseHead(ByteReader& r, std::uint8_t max_flag,
 // Request
 
 std::string EncodeRequest(const WireRequest& request) {
-  const rim::RimModel& model = request.model.model();
-  const infer::ItemLabeling& labeling = request.model.labeling();
-  const infer::LabelPattern& pattern = request.pattern;
-  const std::size_t m = model.size();
-  const unsigned nodes = pattern.NodeCount();
-  const bool keyed = request.idempotency_key != 0;
-  std::size_t label_words = 0;
-  for (unsigned item = 0; item < m; ++item) {
-    label_words += 1 + labeling.LabelsOf(item).size();
-  }
-  std::size_t edge_count = 0;
-  for (unsigned from = 0; from < nodes; ++from) {
-    edge_count += pattern.Children(from).size();
-  }
-
   std::string out;
-  out.reserve(kPreambleBytes + (keyed ? 8 : 0) + 4 * (1 + m) +
-              8 * (m * (m + 1) / 2) + 4 * label_words + 4 * (2 + nodes) +
-              8 * edge_count);
-  PutU64(out, request.id);
-  PutU8(out, static_cast<std::uint8_t>(request.kind));
-  PutU8(out, keyed ? kRequestFlagIdempotencyKey : 0);
-  PutU8(out, 0);
-  PutU8(out, 0);
-  PutU64(out, request.deadline_ns);
-  if (keyed) PutU64(out, request.idempotency_key);
-
-  PutU32(out, static_cast<std::uint32_t>(m));
-  PutU32s(out, model.reference().order());
-  for (unsigned t = 0; t < m; ++t) PutDoubles(out, model.insertion().Row(t));
-  for (unsigned item = 0; item < m; ++item) {
-    const std::vector<infer::LabelId>& labels = labeling.LabelsOf(item);
-    PutU32(out, static_cast<std::uint32_t>(labels.size()));
-    PutU32s(out, labels);
-  }
-
-  PutU32(out, nodes);
-  for (unsigned node = 0; node < nodes; ++node) {
-    PutU32(out, pattern.NodeLabel(node));
-  }
-  PutU32(out, static_cast<std::uint32_t>(edge_count));
-  for (unsigned from = 0; from < nodes; ++from) {
-    for (unsigned to : pattern.Children(from)) {
-      PutU32(out, from);
-      PutU32(out, to);
-    }
-  }
+  PutRequest(out, request.id, request.kind, request.deadline_ns,
+             request.idempotency_key, request.model, request.pattern);
   return out;
 }
 
@@ -322,9 +337,8 @@ StatusOr<WireResponse> DecodeResponse(std::string_view body) {
 
 std::string EncodeSweepRequest(const WireSweepRequest& request) {
   std::string out;
-  PutBase(out, WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                           request.deadline_ns, request.model,
-                           request.pattern));
+  PutBase(out, request.id, request.deadline_ns, request.model,
+          request.pattern);
   PutU32(out, static_cast<std::uint32_t>(request.params.size()));
   for (const std::vector<double>& point : request.params) {
     PutU32(out, static_cast<std::uint32_t>(point.size()));
@@ -400,9 +414,8 @@ StatusOr<WireSweepResponse> DecodeSweepResponse(std::string_view body) {
 
 std::string EncodeHardRequest(const WireHardRequest& request) {
   std::string out;
-  PutBase(out, WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                           request.deadline_ns, request.model,
-                           request.pattern));
+  PutBase(out, request.id, request.deadline_ns, request.model,
+          request.pattern);
   PutDouble(out, request.target_half_width);
   return out;
 }
@@ -457,9 +470,8 @@ StatusOr<WireHardResponse> DecodeHardResponse(std::string_view body) {
 
 std::string EncodeConsensusRequest(const WireConsensusRequest& request) {
   std::string out;
-  PutBase(out, WireRequest(request.id, serve::Request::Kind::kPatternProb,
-                           request.deadline_ns, request.model,
-                           infer::LabelPattern()));
+  PutBase(out, request.id, request.deadline_ns, request.model,
+          infer::LabelPattern());
   PutU32(out, request.top_k);
   return out;
 }

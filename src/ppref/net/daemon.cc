@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "ppref/common/hash.h"
 #include "ppref/common/parallel.h"
@@ -73,6 +74,145 @@ bool ParseHeaderKey(const std::string& text, std::uint64_t* out) {
   return true;
 }
 
+serve::RequestControl ControlFor(std::uint64_t deadline_ns) {
+  serve::RequestControl control;
+  control.deadline_ns = deadline_ns;
+  return control;
+}
+
+// One struct per query kind: its wire request and response types, its
+// response frame, where the request id sits in an encoded body, its codec
+// and JSON functions, and the server call that answers it. Both transports
+// serve every kind through these, so a kind is executed one way only.
+
+struct PlainKind {
+  using Request = WireRequest;
+  using Response = WireResponse;
+  static constexpr FrameType kResponseFrame = FrameType::kResponse;
+  /// The plain body opens with the id.
+  static constexpr std::size_t kIdOffset = 0;
+  static constexpr auto Decode = &DecodeRequest;
+  static constexpr auto Encode = &EncodeResponse;
+  static constexpr auto FromJson = &WireRequestFromJson;
+  static constexpr auto ToJson = &JsonFromWireResponse;
+  static Response Execute(serve::Server& server, const Request& request) {
+    return WireResponse::From(request.id, server.Evaluate(request.ToRequest()));
+  }
+};
+
+// Sweep, hard and consensus bodies open with the u32 length of the base
+// request they wrap, so their id sits at bytes 4..12.
+
+struct SweepKind {
+  using Request = WireSweepRequest;
+  using Response = WireSweepResponse;
+  static constexpr FrameType kResponseFrame = FrameType::kSweepResponse;
+  static constexpr std::size_t kIdOffset = 4;
+  static constexpr auto Decode = &DecodeSweepRequest;
+  static constexpr auto Encode = &EncodeSweepResponse;
+  static constexpr auto FromJson = &SweepRequestFromJson;
+  static constexpr auto ToJson = &JsonFromWireSweepResponse;
+  static Response Execute(serve::Server& server, const Request& request) {
+    return WireSweepResponse::From(
+        request.id,
+        server.PatternProbSweep(request.model, request.pattern, request.params,
+                                ControlFor(request.deadline_ns)));
+  }
+};
+
+struct HardKind {
+  using Request = WireHardRequest;
+  using Response = WireHardResponse;
+  static constexpr FrameType kResponseFrame = FrameType::kHardResponse;
+  static constexpr std::size_t kIdOffset = 4;
+  static constexpr auto Decode = &DecodeHardRequest;
+  static constexpr auto Encode = &EncodeHardResponse;
+  static constexpr auto FromJson = &HardRequestFromJson;
+  static constexpr auto ToJson = &JsonFromWireHardResponse;
+  static Response Execute(serve::Server& server, const Request& request) {
+    return WireHardResponse::From(
+        request.id,
+        server.HardPatternProb(request.model, request.pattern,
+                               request.target_half_width,
+                               ControlFor(request.deadline_ns)));
+  }
+};
+
+struct ConsensusKind {
+  using Request = WireConsensusRequest;
+  using Response = WireConsensusResponse;
+  static constexpr FrameType kResponseFrame = FrameType::kConsensusResponse;
+  static constexpr std::size_t kIdOffset = 4;
+  static constexpr auto Decode = &DecodeConsensusRequest;
+  static constexpr auto Encode = &EncodeConsensusResponse;
+  static constexpr auto FromJson = &ConsensusRequestFromJson;
+  static constexpr auto ToJson = &JsonFromWireConsensusResponse;
+  static Response Execute(serve::Server& server, const Request& request) {
+    return WireConsensusResponse::From(
+        request.id, server.ConsensusTopK(request.model, request.top_k,
+                                         ControlFor(request.deadline_ns)));
+  }
+};
+
+/// Calls `fn` with the kind whose request frame is `type`, which must be
+/// one of the four request frame types, and returns what it returns.
+template <typename Fn>
+auto WithKind(FrameType type, Fn&& fn) {
+  switch (type) {
+    case FrameType::kSweepRequest:
+      return fn(SweepKind{});
+    case FrameType::kHardRequest:
+      return fn(HardKind{});
+    case FrameType::kConsensusRequest:
+      return fn(ConsensusKind{});
+    default:
+      return fn(PlainKind{});
+  }
+}
+
+/// The kind an HTTP request's POST route serves, named by its binary
+/// request frame type; nullopt for every other request.
+std::optional<FrameType> HttpKind(const HttpRequest& request) {
+  if (request.method != "POST") return std::nullopt;
+  if (request.target == "/query") return FrameType::kRequest;
+  if (request.target == "/sweep") return FrameType::kSweepRequest;
+  if (request.target == "/hard") return FrameType::kHardRequest;
+  if (request.target == "/consensus") return FrameType::kConsensusRequest;
+  return std::nullopt;
+}
+
+/// The response frame refusing a binary request of `Kind` with `status`. The
+/// id is peeked from the undecoded body (0 when too short; the strict
+/// client treats that as terminal).
+template <typename Kind>
+std::string RefusalFrame(std::string_view body, Status status) {
+  typename Kind::Response response;
+  response.id = PeekId(body, Kind::kIdOffset);
+  response.status = std::move(status);
+  return EncodeFrame(Kind::kResponseFrame, Kind::Encode(response));
+}
+
+/// Whether an answer may be retained for idempotent replay. Terminal
+/// answers replay bit-identically: exact OK answers, and degraded
+/// approximate ones (seeded MC — *the* answer for this request, so a retry
+/// must see the same bits). Transient refusals (shed, empty-handed
+/// deadline) must not be pinned — a later retry deserves a fresh attempt.
+bool Retainable(const WireResponse& response) {
+  return response.status.ok() || response.approximate;
+}
+
+template <typename Response>
+bool Retainable(const Response& response) {
+  return response.status.ok();
+}
+
+std::string HttpBadRequest(const Status& status) {
+  return RenderHttpResponse(
+      400, "Bad Request", "application/json",
+      "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
+          JsonQuote(status.message()) + "}");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -111,12 +251,11 @@ struct Daemon::Connection {
 };
 
 struct Daemon::Job {
-  /// Which binary request family the body carries (ignored when http).
-  enum class Kind : std::uint8_t { kEvaluate, kSweep, kHard, kConsensus };
-
   std::uint64_t conn_id = 0;
   bool http = false;
-  Kind kind = Kind::kEvaluate;
+  /// The query kind, named by its binary request frame type; for HTTP, the
+  /// kind its POST route serves (unset for every other HTTP request).
+  std::optional<FrameType> kind;
   std::string body;      // binary request frame body
   HttpRequest request;   // http request
 };
@@ -181,6 +320,24 @@ struct Daemon::Instruments {
   obs::Counter& bytes_tx;
   obs::Gauge& active;
   obs::Gauge& draining;
+
+  /// Counts one request routed to `kind`, on either transport. Plain
+  /// queries have only the per-transport counters.
+  void CountKind(FrameType kind) {
+    switch (kind) {
+      case FrameType::kSweepRequest:
+        requests_sweep.Inc();
+        return;
+      case FrameType::kHardRequest:
+        requests_hard.Inc();
+        return;
+      case FrameType::kConsensusRequest:
+        requests_consensus.Inc();
+        return;
+      default:
+        return;
+    }
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -250,10 +407,6 @@ Status Daemon::Start() {
         address.sin_family == AF_INET) {
       port_ = ntohs(address.sin_port);
     }
-    epoll_event listen_event{};
-    listen_event.events = EPOLLIN;
-    listen_event.data.u64 = kListenId;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &listen_event);
   } else if (options_.port >= 0) {
     listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
                         0);
@@ -276,6 +429,8 @@ Status Daemon::Start() {
     socklen_t length = sizeof(address);
     getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address), &length);
     port_ = ntohs(address.sin_port);
+  }
+  if (listen_fd_ >= 0) {
     epoll_event listen_event{};
     listen_event.events = EPOLLIN;
     listen_event.data.u64 = kListenId;
@@ -312,10 +467,7 @@ Status Daemon::AdoptConnection(int fd) {
 void Daemon::RequestDrain() {
   // Async-signal-safe: one atomic store, one eventfd write.
   drain_.store(true, std::memory_order_release);
-  if (wake_fd_ >= 0) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
-  }
+  Wake();
 }
 
 void Daemon::Join() {
@@ -465,16 +617,7 @@ void Daemon::AcceptReady() {
     const int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     instruments_->accepted.Inc();
-    const std::uint64_t id = next_connection_id_++;
-    auto connection = std::make_unique<Connection>(id, fd, options_);
-    connection->deadline_at =
-        Clock::now() + std::chrono::nanoseconds(options_.connection_deadline_ns);
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.u64 = id;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
-    connections_.emplace(id, std::move(connection));
-    instruments_->active.Add(1);
+    AddConnection(fd);
   }
 }
 
@@ -491,17 +634,21 @@ void Daemon::AdoptPending() {
     }
     SetNonBlocking(fd);
     instruments_->adopted.Inc();
-    const std::uint64_t id = next_connection_id_++;
-    auto connection = std::make_unique<Connection>(id, fd, options_);
-    connection->deadline_at =
-        Clock::now() + std::chrono::nanoseconds(options_.connection_deadline_ns);
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.u64 = id;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
-    connections_.emplace(id, std::move(connection));
-    instruments_->active.Add(1);
+    AddConnection(fd);
   }
+}
+
+void Daemon::AddConnection(int fd) {
+  const std::uint64_t id = next_connection_id_++;
+  auto connection = std::make_unique<Connection>(id, fd, options_);
+  connection->deadline_at =
+      Clock::now() + std::chrono::nanoseconds(options_.connection_deadline_ns);
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.u64 = id;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
+  connections_.emplace(id, std::move(connection));
+  instruments_->active.Add(1);
 }
 
 void Daemon::ReadReady(Connection& connection) {
@@ -579,102 +726,11 @@ void Daemon::DispatchBinary(Connection& connection, Frame frame) {
       QueueOutput(connection, EncodeFrame(FrameType::kPong, frame.body),
                   /*close_after=*/false);
       return;
-    case FrameType::kRequest: {
-      if (drain_.load(std::memory_order_acquire)) {
-        // Shed without decoding the model: only the id (first 8 body
-        // bytes) is needed for a well-formed refusal.
-        instruments_->shed_draining.Inc();
-        WireResponse response;
-        response.id = PeekId(frame.body, 0);
-        response.status = Status::ResourceExhausted("daemon draining");
-        QueueOutput(connection,
-                    EncodeFrame(FrameType::kResponse,
-                                EncodeResponse(response)),
-                    /*close_after=*/false);
-        return;
-      }
-      instruments_->requests_binary.Inc();
-      ++connection.in_flight;
-      Job job;
-      job.conn_id = connection.id;
-      job.http = false;
-      job.body = std::move(frame.body);
-      PushJob(std::move(job));
-      return;
-    }
-    case FrameType::kSweepRequest: {
-      if (drain_.load(std::memory_order_acquire)) {
-        // The sweep body opens with a u32 base length, so the embedded base
-        // request's id sits at bytes 4..12.
-        instruments_->shed_draining.Inc();
-        WireSweepResponse response;
-        response.id = PeekId(frame.body, 4);
-        response.status = Status::ResourceExhausted("daemon draining");
-        QueueOutput(connection,
-                    EncodeFrame(FrameType::kSweepResponse,
-                                EncodeSweepResponse(response)),
-                    /*close_after=*/false);
-        return;
-      }
-      instruments_->requests_binary.Inc();
-      instruments_->requests_sweep.Inc();
-      ++connection.in_flight;
-      Job job;
-      job.conn_id = connection.id;
-      job.http = false;
-      job.kind = Job::Kind::kSweep;
-      job.body = std::move(frame.body);
-      PushJob(std::move(job));
-      return;
-    }
-    case FrameType::kHardRequest: {
-      if (drain_.load(std::memory_order_acquire)) {
-        // Like a sweep, the body opens with a u32 base length, so the
-        // embedded base request's id sits at bytes 4..12.
-        instruments_->shed_draining.Inc();
-        WireHardResponse response;
-        response.id = PeekId(frame.body, 4);
-        response.status = Status::ResourceExhausted("daemon draining");
-        QueueOutput(connection,
-                    EncodeFrame(FrameType::kHardResponse,
-                                EncodeHardResponse(response)),
-                    /*close_after=*/false);
-        return;
-      }
-      instruments_->requests_binary.Inc();
-      instruments_->requests_hard.Inc();
-      ++connection.in_flight;
-      Job job;
-      job.conn_id = connection.id;
-      job.http = false;
-      job.kind = Job::Kind::kHard;
-      job.body = std::move(frame.body);
-      PushJob(std::move(job));
-      return;
-    }
-    case FrameType::kConsensusRequest: {
-      if (drain_.load(std::memory_order_acquire)) {
-        instruments_->shed_draining.Inc();
-        WireConsensusResponse response;
-        response.id = PeekId(frame.body, 4);
-        response.status = Status::ResourceExhausted("daemon draining");
-        QueueOutput(connection,
-                    EncodeFrame(FrameType::kConsensusResponse,
-                                EncodeConsensusResponse(response)),
-                    /*close_after=*/false);
-        return;
-      }
-      instruments_->requests_binary.Inc();
-      instruments_->requests_consensus.Inc();
-      ++connection.in_flight;
-      Job job;
-      job.conn_id = connection.id;
-      job.http = false;
-      job.kind = Job::Kind::kConsensus;
-      job.body = std::move(frame.body);
-      PushJob(std::move(job));
-      return;
-    }
+    case FrameType::kRequest:
+    case FrameType::kSweepRequest:
+    case FrameType::kHardRequest:
+    case FrameType::kConsensusRequest:
+      break;
     case FrameType::kResponse:
     case FrameType::kPong:
     case FrameType::kSweepResponse:
@@ -685,6 +741,25 @@ void Daemon::DispatchBinary(Connection& connection, Frame frame) {
       CloseConnection(connection.id);
       return;
   }
+  if (drain_.load(std::memory_order_acquire)) {
+    // Shed without decoding the model: only the id is needed for a
+    // well-formed refusal of the request's own response type.
+    instruments_->shed_draining.Inc();
+    QueueOutput(connection, WithKind(frame.type, [&](auto kind) {
+                  return RefusalFrame<decltype(kind)>(
+                      frame.body, Status::ResourceExhausted("daemon draining"));
+                }),
+                /*close_after=*/false);
+    return;
+  }
+  instruments_->requests_binary.Inc();
+  instruments_->CountKind(frame.type);
+  ++connection.in_flight;
+  Job job;
+  job.conn_id = connection.id;
+  job.kind = frame.type;
+  job.body = std::move(frame.body);
+  PushJob(std::move(job));
 }
 
 void Daemon::DispatchHttp(Connection& connection) {
@@ -702,6 +777,8 @@ void Daemon::DispatchHttp(Connection& connection) {
   job.conn_id = connection.id;
   job.http = true;
   job.request = connection.http.request();
+  job.kind = HttpKind(job.request);
+  if (job.kind.has_value()) instruments_->CountKind(*job.kind);
   PushJob(std::move(job));
 }
 
@@ -852,16 +929,15 @@ void Daemon::WorkerLoop() {
     // serve-layer work at all; a waiter produces *no* completion here — the
     // owner's Publish fans the bytes out to every parked waiter.
     std::uint64_t idem_key = 0;
-    if (idempotency_ != nullptr) {
+    if (idempotency_ != nullptr && job.kind == FrameType::kRequest) {
       if (job.http) {
         const std::string* header =
             job.request.Header("x-ppref-idempotency-key");
         std::uint64_t raw = 0;
-        if (job.request.method == "POST" && job.request.target == "/query" &&
-            header != nullptr && ParseHeaderKey(*header, &raw)) {
+        if (header != nullptr && ParseHeaderKey(*header, &raw)) {
           idem_key = HashCombine(kIdemPlaneHttp, raw);
         }
-      } else if (job.kind == Job::Kind::kEvaluate) {
+      } else {
         const std::uint64_t raw = PeekIdempotencyKey(job.body);
         if (raw != 0) {
           // The wire id is folded in so retained bytes echo the id their
@@ -890,24 +966,12 @@ void Daemon::WorkerLoop() {
     completion.conn_id = job.conn_id;
     bool retain = false;
     if (job.http) {
-      completion.bytes = ExecuteHttp(
-          job.request, drain_.load(std::memory_order_acquire), &retain);
+      completion.bytes =
+          ExecuteHttp(job.request, job.kind,
+                      drain_.load(std::memory_order_acquire), &retain);
       completion.close_after = true;
     } else {
-      switch (job.kind) {
-        case Job::Kind::kEvaluate:
-          completion.bytes = ExecuteBinary(job.body, &retain);
-          break;
-        case Job::Kind::kSweep:
-          completion.bytes = ExecuteBinarySweep(job.body);
-          break;
-        case Job::Kind::kHard:
-          completion.bytes = ExecuteBinaryHard(job.body);
-          break;
-        case Job::Kind::kConsensus:
-          completion.bytes = ExecuteBinaryConsensus(job.body);
-          break;
-      }
+      completion.bytes = ExecuteBinary(*job.kind, job.body, &retain);
       completion.close_after = false;
     }
     if (idem_key != 0) {
@@ -925,104 +989,23 @@ void Daemon::WorkerLoop() {
   }
 }
 
-std::string Daemon::ExecuteBinary(const std::string& body, bool* retain_idem) {
-  StatusOr<WireRequest> request = DecodeRequest(body);
-  WireResponse response;
-  if (!request.ok()) {
-    // The id may not have survived decoding; a zero id plus the status is
-    // the best-effort answer (the strict client treats it as terminal).
-    response.id = PeekId(body, 0);
-    response.status = request.status();
-  } else {
-    response = WireResponse::From(request->id,
-                                  server_->Evaluate(request->ToRequest()));
-  }
-  // Terminal answers replay bit-identically: exact OK answers, and degraded
-  // approximate ones (seeded MC — *the* answer for this request, so a retry
-  // must see the same bits). Transient refusals (shed, empty-handed
-  // deadline) must not be pinned — a later retry deserves a fresh attempt.
-  if (retain_idem != nullptr) {
-    *retain_idem = response.status.ok() || response.approximate;
-  }
-  return EncodeFrame(FrameType::kResponse, EncodeResponse(response));
+std::string Daemon::ExecuteBinary(FrameType kind, std::string_view body,
+                                  bool* retain_idem) {
+  *retain_idem = false;
+  return WithKind(kind, [&](auto tag) {
+    using Kind = decltype(tag);
+    StatusOr<typename Kind::Request> request = Kind::Decode(body);
+    if (!request.ok()) return RefusalFrame<Kind>(body, request.status());
+    const typename Kind::Response response = Kind::Execute(*server_, *request);
+    *retain_idem = Retainable(response);
+    return EncodeFrame(Kind::kResponseFrame, Kind::Encode(response));
+  });
 }
 
-std::string Daemon::ExecuteBinarySweep(const std::string& body) {
-  StatusOr<WireSweepRequest> request = DecodeSweepRequest(body);
-  WireSweepResponse response;
-  if (!request.ok()) {
-    response.id = PeekId(body, 4);  // id of the length-prefixed base request
-    response.status = request.status();
-  } else {
-    response.id = request->id;
-    serve::RequestControl control;
-    control.deadline_ns = request->deadline_ns;
-    StatusOr<std::vector<double>> answers = server_->PatternProbSweep(
-        request->model, request->pattern, request->params, control);
-    if (answers.ok()) {
-      response.probabilities = std::move(*answers);
-    } else {
-      response.status = answers.status();
-    }
-  }
-  return EncodeFrame(FrameType::kSweepResponse, EncodeSweepResponse(response));
-}
-
-std::string Daemon::ExecuteBinaryHard(const std::string& body) {
-  StatusOr<WireHardRequest> request = DecodeHardRequest(body);
-  WireHardResponse response;
-  if (!request.ok()) {
-    response.id = PeekId(body, 4);  // id of the length-prefixed base request
-    response.status = request.status();
-  } else {
-    response.id = request->id;
-    serve::RequestControl control;
-    control.deadline_ns = request->deadline_ns;
-    StatusOr<serve::HardEstimate> estimate = server_->HardPatternProb(
-        request->model, request->pattern, request->target_half_width, control);
-    if (estimate.ok()) {
-      response.estimate = estimate->estimate;
-      response.std_error = estimate->std_error;
-      response.n_samples = estimate->n_samples;
-      response.target_met = estimate->target_met;
-      response.deadline_limited = estimate->deadline_limited;
-    } else {
-      response.status = estimate.status();
-    }
-  }
-  return EncodeFrame(FrameType::kHardResponse, EncodeHardResponse(response));
-}
-
-std::string Daemon::ExecuteBinaryConsensus(const std::string& body) {
-  StatusOr<WireConsensusRequest> request = DecodeConsensusRequest(body);
-  WireConsensusResponse response;
-  if (!request.ok()) {
-    response.id = PeekId(body, 4);
-    response.status = request.status();
-  } else {
-    response.id = request->id;
-    serve::RequestControl control;
-    control.deadline_ns = request->deadline_ns;
-    StatusOr<serve::ConsensusAnswer> answer =
-        server_->ConsensusTopK(request->model, request->top_k, control);
-    if (answer.ok()) {
-      response.ranking = std::move(answer->ranking);
-      response.mean_footrule = answer->mean_footrule;
-      response.footrule_std_error = answer->footrule_std_error;
-      response.mean_kendall = answer->mean_kendall;
-      response.kendall_std_error = answer->kendall_std_error;
-      response.n_samples = answer->n_samples;
-    } else {
-      response.status = answer.status();
-    }
-  }
-  return EncodeFrame(FrameType::kConsensusResponse,
-                     EncodeConsensusResponse(response));
-}
-
-std::string Daemon::ExecuteHttp(const HttpRequest& request, bool draining,
+std::string Daemon::ExecuteHttp(const HttpRequest& request,
+                                std::optional<FrameType> kind, bool draining,
                                 bool* retain_idem) {
-  if (retain_idem != nullptr) *retain_idem = false;
+  *retain_idem = false;
   if (request.method == "GET") {
     if (request.target == "/healthz") {
       if (draining) {
@@ -1046,114 +1029,21 @@ std::string Daemon::ExecuteHttp(const HttpRequest& request, bool draining,
     return RenderHttpResponse(405, "Method Not Allowed", "text/plain",
                               "method not allowed\n");
   }
-  if (request.target != "/query" && request.target != "/sweep" &&
-      request.target != "/hard" && request.target != "/consensus") {
+  if (!kind.has_value()) {
     return RenderHttpResponse(404, "Not Found", "text/plain", "not found\n");
   }
 
   StatusOr<JsonValue> document = ParseJson(request.body);
-  if (!document.ok()) {
-    return RenderHttpResponse(
-        400, "Bad Request", "application/json",
-        "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-            JsonQuote(document.status().message()) + "}");
-  }
-
-  if (request.target == "/sweep") {
-    instruments_->requests_sweep.Inc();
-    StatusOr<WireSweepRequest> wire = SweepRequestFromJson(*document);
-    if (!wire.ok()) {
-      return RenderHttpResponse(
-          400, "Bad Request", "application/json",
-          "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-              JsonQuote(wire.status().message()) + "}");
-    }
-    WireSweepResponse response;
-    response.id = wire->id;
-    serve::RequestControl control;
-    control.deadline_ns = wire->deadline_ns;
-    StatusOr<std::vector<double>> answers = server_->PatternProbSweep(
-        wire->model, wire->pattern, wire->params, control);
-    if (answers.ok()) {
-      response.probabilities = std::move(*answers);
-    } else {
-      response.status = answers.status();
-    }
+  if (!document.ok()) return HttpBadRequest(document.status());
+  return WithKind(*kind, [&](auto tag) {
+    using Kind = decltype(tag);
+    StatusOr<typename Kind::Request> wire = Kind::FromJson(*document);
+    if (!wire.ok()) return HttpBadRequest(wire.status());
+    const typename Kind::Response response = Kind::Execute(*server_, *wire);
+    *retain_idem = Retainable(response);
     return RenderHttpResponse(200, "OK", "application/json",
-                              JsonFromWireSweepResponse(response));
-  }
-
-  if (request.target == "/hard") {
-    instruments_->requests_hard.Inc();
-    StatusOr<WireHardRequest> wire = HardRequestFromJson(*document);
-    if (!wire.ok()) {
-      return RenderHttpResponse(
-          400, "Bad Request", "application/json",
-          "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-              JsonQuote(wire.status().message()) + "}");
-    }
-    WireHardResponse response;
-    response.id = wire->id;
-    serve::RequestControl control;
-    control.deadline_ns = wire->deadline_ns;
-    StatusOr<serve::HardEstimate> estimate = server_->HardPatternProb(
-        wire->model, wire->pattern, wire->target_half_width, control);
-    if (estimate.ok()) {
-      response.estimate = estimate->estimate;
-      response.std_error = estimate->std_error;
-      response.n_samples = estimate->n_samples;
-      response.target_met = estimate->target_met;
-      response.deadline_limited = estimate->deadline_limited;
-    } else {
-      response.status = estimate.status();
-    }
-    return RenderHttpResponse(200, "OK", "application/json",
-                              JsonFromWireHardResponse(response));
-  }
-
-  if (request.target == "/consensus") {
-    instruments_->requests_consensus.Inc();
-    StatusOr<WireConsensusRequest> wire = ConsensusRequestFromJson(*document);
-    if (!wire.ok()) {
-      return RenderHttpResponse(
-          400, "Bad Request", "application/json",
-          "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-              JsonQuote(wire.status().message()) + "}");
-    }
-    WireConsensusResponse response;
-    response.id = wire->id;
-    serve::RequestControl control;
-    control.deadline_ns = wire->deadline_ns;
-    StatusOr<serve::ConsensusAnswer> answer =
-        server_->ConsensusTopK(wire->model, wire->top_k, control);
-    if (answer.ok()) {
-      response.ranking = std::move(answer->ranking);
-      response.mean_footrule = answer->mean_footrule;
-      response.footrule_std_error = answer->footrule_std_error;
-      response.mean_kendall = answer->mean_kendall;
-      response.kendall_std_error = answer->kendall_std_error;
-      response.n_samples = answer->n_samples;
-    } else {
-      response.status = answer.status();
-    }
-    return RenderHttpResponse(200, "OK", "application/json",
-                              JsonFromWireConsensusResponse(response));
-  }
-
-  StatusOr<WireRequest> wire = WireRequestFromJson(*document);
-  if (!wire.ok()) {
-    return RenderHttpResponse(
-        400, "Bad Request", "application/json",
-        "{\"status\":\"INVALID_ARGUMENT\",\"message\":" +
-            JsonQuote(wire.status().message()) + "}");
-  }
-  const WireResponse response =
-      WireResponse::From(wire->id, server_->Evaluate(wire->ToRequest()));
-  if (retain_idem != nullptr) {
-    *retain_idem = response.status.ok() || response.approximate;
-  }
-  return RenderHttpResponse(200, "OK", "application/json",
-                            JsonFromWireResponse(response));
+                              Kind::ToJson(response));
+  });
 }
 
 }  // namespace ppref::net

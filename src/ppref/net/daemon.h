@@ -63,7 +63,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -168,6 +170,8 @@ class Daemon {
   // IO-thread helpers (only the IO thread touches Connection state).
   void AcceptReady();
   void AdoptPending();
+  /// Registers a connected, non-blocking socket with the event loop.
+  void AddConnection(int fd);
   void ReadReady(Connection& connection);
   void WriteReady(Connection& connection);
   void HandleInput(Connection& connection, const char* data, std::size_t size);
@@ -181,14 +185,15 @@ class Daemon {
   void CloseExpiredConnections();
   int NextTimeoutMs() const;
 
-  // Worker-side request execution (no connection access). `retain_idem`
-  // (when non-null) reports whether the produced bytes are a terminal
-  // answer safe to retain for idempotent replay.
-  std::string ExecuteBinary(const std::string& body, bool* retain_idem);
-  std::string ExecuteBinarySweep(const std::string& body);
-  std::string ExecuteBinaryHard(const std::string& body);
-  std::string ExecuteBinaryConsensus(const std::string& body);
-  std::string ExecuteHttp(const HttpRequest& request, bool draining,
+  // Worker-side request execution (no connection access): the binary body
+  // of a request frame of type `kind`, or one HTTP request whose POST route
+  // serves `kind` (unset for any other route). `retain_idem` reports
+  // whether the produced bytes are a terminal answer safe to retain for
+  // idempotent replay.
+  std::string ExecuteBinary(FrameType kind, std::string_view body,
+                            bool* retain_idem);
+  std::string ExecuteHttp(const HttpRequest& request,
+                          std::optional<FrameType> kind, bool draining,
                           bool* retain_idem);
 
   void PushJob(Job job);

@@ -101,6 +101,18 @@ struct WireSweepResponse {
   std::uint64_t id = 0;
   Status status;
   std::vector<double> probabilities;
+
+  static WireSweepResponse From(std::uint64_t id,
+                                StatusOr<std::vector<double>> answers) {
+    WireSweepResponse wire;
+    wire.id = id;
+    if (!answers.ok()) {
+      wire.status = answers.status();
+      return wire;
+    }
+    wire.probabilities = std::move(answers).value();
+    return wire;
+  }
 };
 
 /// One hard-tier query: the shape of a pattern-probability `WireRequest`
@@ -141,6 +153,22 @@ struct WireHardResponse {
   /// The deadline budget expired mid-run; the answer is honest but coarser
   /// than asked, and the server never caches it.
   bool deadline_limited = false;
+
+  static WireHardResponse From(std::uint64_t id,
+                               const StatusOr<serve::HardEstimate>& answer) {
+    WireHardResponse wire;
+    wire.id = id;
+    if (!answer.ok()) {
+      wire.status = answer.status();
+      return wire;
+    }
+    wire.estimate = answer->estimate;
+    wire.std_error = answer->std_error;
+    wire.n_samples = answer->n_samples;
+    wire.target_met = answer->target_met;
+    wire.deadline_limited = answer->deadline_limited;
+    return wire;
+  }
 };
 
 /// One consensus top-k query: a model and how many items of the consensus
@@ -171,6 +199,24 @@ struct WireConsensusResponse {
   double mean_kendall = 0.0;
   double kendall_std_error = 0.0;
   std::uint64_t n_samples = 0;
+
+  static WireConsensusResponse From(std::uint64_t id,
+                                    StatusOr<serve::ConsensusAnswer> answer) {
+    WireConsensusResponse wire;
+    wire.id = id;
+    if (!answer.ok()) {
+      wire.status = answer.status();
+      return wire;
+    }
+    serve::ConsensusAnswer value = std::move(answer).value();
+    wire.ranking = std::move(value.ranking);
+    wire.mean_footrule = value.mean_footrule;
+    wire.footrule_std_error = value.footrule_std_error;
+    wire.mean_kendall = value.mean_kendall;
+    wire.kendall_std_error = value.kendall_std_error;
+    wire.n_samples = value.n_samples;
+    return wire;
+  }
 };
 
 /// One answer: `serve::Response` plus the echoed request id.

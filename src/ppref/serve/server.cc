@@ -18,7 +18,6 @@
 #include "ppref/infer/matching.h"
 #include "ppref/infer/monte_carlo.h"
 #include "ppref/infer/top_prob.h"
-#include "ppref/infer/top_prob_minmax.h"
 #include "ppref/obs/export.h"
 #include "ppref/rim/sampler.h"
 #include "ppref/serve/fingerprint.h"
@@ -29,14 +28,14 @@ namespace ppref::serve {
 namespace {
 
 // Result-key domain tags: one per request kind, mixed on top of the plan
-// key so the two answers about one (model, pattern) never collide.
+// key so the two answers about one (model, pattern) never collide. 0x5053
+// named the retired min/max kind and stays unused.
 // kKeyMcSeed salts the degradation sampler's seed so the fallback stream
 // is decorrelated from the result key itself while staying a pure function
 // of it (repeat the request, get the identical approximate answer).
 enum : std::uint64_t {
   kKeyPatternProb = 0x5051ull,
   kKeyTopMatching = 0x5052ull,
-  kKeyMinMax = 0x5053ull,
   kKeyMcSeed = 0x5054ull,
   kKeySweep = 0x5055ull,
   kKeyHard = 0x5056ull,
@@ -406,28 +405,6 @@ struct Server::Instruments {
             "Consensus sampling + footrule aggregation, per query")) {}
 };
 
-/// Scoped in-flight depth accounting: admission increments, completion
-/// decrements, and the peak watermark is maintained with a CAS loop.
-/// Legacy entry points admit unconditionally through this; the status
-/// entry points go through TryAdmit/AdmissionRelease instead, which
-/// respect max_in_flight.
-class Server::InFlight {
- public:
-  InFlight(Server& server, std::uint64_t count) : server_(server), count_(count) {
-    const std::uint64_t now =
-        server_.in_flight_.fetch_add(count_, std::memory_order_relaxed) + count_;
-    std::uint64_t peak = server_.in_flight_peak_.load(std::memory_order_relaxed);
-    while (peak < now && !server_.in_flight_peak_.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-  }
-  ~InFlight() { server_.in_flight_.fetch_sub(count_, std::memory_order_relaxed); }
-
- private:
-  Server& server_;
-  std::uint64_t count_;
-};
-
 /// RAII release of TryAdmit'ed slots (release exactly what was granted,
 /// which may be fewer than requested under load shedding).
 class Server::AdmissionRelease {
@@ -444,6 +421,20 @@ class Server::AdmissionRelease {
  private:
   Server& server_;
   std::size_t granted_;
+};
+
+/// What the serving envelope hands a modality: the resolved deadline
+/// *value* (0 = none; hard maps it to its precision target and uses it as a
+/// non-throwing budget), the throwing RunControl built from it, and the
+/// trace record StartTrace may arm.
+struct Server::Scope {
+  std::uint64_t deadline_ns = 0;
+  RunControl run;
+  bool has_control = false;
+  obs::TraceRecord* trace = nullptr;
+  obs::TraceRecord trace_storage;
+
+  const RunControl* control() const { return has_control ? &run : nullptr; }
 };
 
 Server::Server(ServerOptions options)
@@ -532,6 +523,70 @@ std::uint64_t Server::RetryAfterHintNs() const {
   const std::uint64_t busy =
       instruments_->compile_ns.Value() + instruments_->execute_ns.Value();
   return std::max<std::uint64_t>(1'000'000, busy / served);
+}
+
+template <typename Body>
+Status Server::Guard(const char* what, Body&& body) {
+  try {
+    body();
+    return Status::Ok();
+  } catch (const CancelledError& e) {
+    instruments_->cancelled.Inc();
+    return Status::Cancelled(e.what());
+  } catch (const DeadlineExceededError& e) {
+    instruments_->deadline_exceeded.Inc();
+    return Status::DeadlineExceeded(e.what());
+  } catch (const std::exception& e) {
+    instruments_->internal_errors.Inc();
+    return Status::Internal(e.what());
+  } catch (...) {
+    instruments_->internal_errors.Inc();
+    return Status::Internal(std::string("unknown exception during ") + what);
+  }
+}
+
+template <typename T, typename Body>
+StatusOr<T> Server::Serve(const RequestControl& control, const char* what,
+                          Body&& body) {
+  // One admission slot covers the whole call: the expensive part (a circuit
+  // compile, a shared world stream, a consensus sample) happens once,
+  // however many points or queries ride it.
+  if (TryAdmit(1) == 0) {
+    instruments_->shed.Inc();
+    return Status::ResourceExhausted(
+        "shed by admission control (server full); retry after " +
+        std::to_string(RetryAfterHintNs()) + "ns");
+  }
+  const AdmissionRelease release(*this, 1);
+
+  Scope scope;
+  scope.deadline_ns = control.deadline_ns != 0 ? control.deadline_ns
+                                               : options_.default_deadline_ns;
+  if (scope.deadline_ns != 0) {
+    scope.run.deadline = Deadline::After(scope.deadline_ns);
+  }
+  scope.run.cancel = control.cancel;
+  scope.has_control = scope.deadline_ns != 0 || control.cancel != nullptr;
+
+  std::optional<T> answer;
+  Status status = Guard(what, [&] { answer.emplace(body(scope)); });
+  if (!status.ok()) return status;
+  if (scope.trace != nullptr) {
+    scope.trace->end_ns = MonotonicNowNs();
+    scope.trace->status_code = static_cast<std::uint8_t>(StatusCode::kOk);
+    tracer_.Publish(*scope.trace);
+  }
+  return *std::move(answer);
+}
+
+void Server::StartTrace(Scope& scope, std::uint64_t fingerprint) {
+  // Deterministic sampling, keyed like everything else on content.
+  if (tracer_.sample_permyriad() == 0 || !tracer_.ShouldSample(fingerprint)) {
+    return;
+  }
+  scope.trace = &scope.trace_storage;
+  scope.trace->fingerprint = fingerprint;
+  scope.trace->start_ns = MonotonicNowNs();
 }
 
 std::shared_ptr<const Server::CachedResult> Server::LookupResult(
@@ -700,9 +755,8 @@ Server::CachedResult Server::Compute(const Request& request,
                                      std::uint64_t plan_key,
                                      const RunControl* control,
                                      obs::TraceRecord* trace) {
-  // Internal invariant, not input validation: the status entry points have
-  // already validated, and the legacy entry points are documented
-  // trusted-caller paths.
+  // Internal invariant, not input validation: every entry point validates
+  // before computing.
   PPREF_CHECK(request.model != nullptr && request.pattern != nullptr);
   // Fail an already-stopped request before touching the caches: a cached
   // plan plus a small DP could otherwise finish inside the stop window and
@@ -845,109 +899,18 @@ Server::Outcome Server::ComputeGuarded(const Request& request,
     outcome.status = std::move(status);
     return outcome;
   }
-  try {
-    Outcome outcome;
+  Outcome outcome;
+  outcome.status = Guard("compute", [&] {
     outcome.result = Compute(request, plan_key, control, trace);
-    outcome.status = Status::Ok();
+  });
+  if (outcome.status.ok()) {
     outcome.cache_ok = true;
-    return outcome;
-  } catch (const CancelledError& e) {
-    instruments_->cancelled.Inc();
-    Outcome outcome;
-    outcome.status = Status::Cancelled(e.what());
-    return outcome;
-  } catch (const DeadlineExceededError& e) {
-    instruments_->deadline_exceeded.Inc();
-    Status status = Status::DeadlineExceeded(e.what());
-    if (options_.degradation == ServerOptions::Degradation::kMonteCarlo) {
-      return Degrade(request, result_key, deadline_ns, std::move(status),
-                     trace);
-    }
-    Outcome outcome;
-    outcome.status = std::move(status);
-    return outcome;
-  } catch (const std::exception& e) {
-    instruments_->internal_errors.Inc();
-    Outcome outcome;
-    outcome.status = Status::Internal(e.what());
-    return outcome;
-  } catch (...) {
-    instruments_->internal_errors.Inc();
-    Outcome outcome;
-    outcome.status = Status::Internal("unknown exception during compute");
-    return outcome;
+  } else if (outcome.status.code() == StatusCode::kDeadlineExceeded &&
+             options_.degradation == ServerOptions::Degradation::kMonteCarlo) {
+    return Degrade(request, result_key, deadline_ns, std::move(outcome.status),
+                   trace);
   }
-}
-
-double Server::PatternProbability(const infer::LabeledRimModel& model,
-                                  const infer::LabelPattern& pattern) {
-  instruments_->requests.Inc();
-  const InFlight guard(*this, 1);
-  const std::uint64_t plan_key = PlanKey(model, pattern, kNoTracked);
-  const std::uint64_t result_key = HashCombine(plan_key, kKeyPatternProb);
-  if (auto hit = LookupResult(result_key)) return hit->probability;
-  Request request;
-  request.kind = Request::Kind::kPatternProb;
-  request.model = &model;
-  request.pattern = &pattern;
-  const std::shared_ptr<const CachedResult> value = result_cache_.Put(
-      result_key,
-      std::make_shared<const CachedResult>(Compute(request, plan_key)));
-  StoreResult(result_key, *value);
-  return value->probability;
-}
-
-std::optional<std::pair<infer::Matching, double>> Server::MostProbableTopMatching(
-    const infer::LabeledRimModel& model, const infer::LabelPattern& pattern) {
-  instruments_->requests.Inc();
-  const InFlight guard(*this, 1);
-  const std::uint64_t plan_key = PlanKey(model, pattern, kNoTracked);
-  const std::uint64_t result_key = HashCombine(plan_key, kKeyTopMatching);
-  std::shared_ptr<const CachedResult> value = LookupResult(result_key);
-  if (!value) {
-    Request request;
-    request.kind = Request::Kind::kTopMatching;
-    request.model = &model;
-    request.pattern = &pattern;
-    value = result_cache_.Put(
-        result_key,
-        std::make_shared<const CachedResult>(Compute(request, plan_key)));
-    StoreResult(result_key, *value);
-  }
-  if (!value->top_matching.has_value()) return std::nullopt;
-  return std::make_pair(*value->top_matching, value->probability);
-}
-
-double Server::PatternMinMaxProbability(
-    const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
-    const std::vector<infer::LabelId>& tracked,
-    const infer::MinMaxCondition& condition,
-    std::uint64_t condition_fingerprint) {
-  instruments_->requests.Inc();
-  const InFlight guard(*this, 1);
-  const std::uint64_t plan_key = PlanKey(model, pattern, tracked);
-  const bool cacheable = condition_fingerprint != 0;
-  const std::uint64_t result_key =
-      HashCombine(HashCombine(plan_key, kKeyMinMax), condition_fingerprint);
-  if (cacheable) {
-    if (auto hit = LookupResult(result_key)) return hit->probability;
-  }
-  const std::shared_ptr<const CachedPlan> plan =
-      PlanFor(model, pattern, tracked, plan_key);
-  infer::PatternProbOptions exec;
-  exec.threads = options_.matching_threads;
-  const std::uint64_t start = MonotonicNowNs();
-  const double probability =
-      infer::PatternMinMaxProbWithPlan(plan->plan, condition, exec);
-  const std::uint64_t elapsed = MonotonicNowNs() - start;
-  instruments_->execute_ns.Inc(elapsed);
-  if (options_.latency_histograms) instruments_->dp_execute_ns.Record(elapsed);
-  if (cacheable) {
-    const CachedResult cached{probability, std::nullopt};
-    result_cache_.Put(result_key, std::make_shared<const CachedResult>(cached));
-    StoreResult(result_key, cached);
-  }
-  return probability;
+  return outcome;
 }
 
 Response Server::Evaluate(const Request& request) {
@@ -1003,44 +966,15 @@ StatusOr<std::vector<double>> Server::PatternProbSweep(
         std::to_string(options_.max_pattern_nodes));
   }
 
-  // One admission slot covers the whole sweep: the expensive part (compile)
-  // happens once, and per-point evaluation is a linear arena pass.
-  if (TryAdmit(1) == 0) {
-    instruments_->shed.Inc();
-    return Status::ResourceExhausted(
-        "shed by admission control (server full); retry after " +
-        std::to_string(RetryAfterHintNs()) + "ns");
-  }
-  const AdmissionRelease release(*this, 1);
-
-  const std::uint64_t circuit_key = CircuitKey(model, pattern);
-  const std::uint64_t deadline_ns = control.deadline_ns != 0
-                                        ? control.deadline_ns
-                                        : options_.default_deadline_ns;
-  const bool has_control = deadline_ns != 0 || control.cancel != nullptr;
-  RunControl run;
-  if (deadline_ns != 0) run.deadline = Deadline::After(deadline_ns);
-  run.cancel = control.cancel;
-
-  // Deterministic trace sampling, keyed like everything else on content:
-  // the circuit key in the sweep domain.
-  obs::TraceRecord trace_storage;
-  obs::TraceRecord* trace = nullptr;
-  const std::uint64_t sweep_fingerprint = HashCombine(circuit_key, kKeySweep);
-  if (tracer_.sample_permyriad() > 0 &&
-      tracer_.ShouldSample(sweep_fingerprint)) {
-    trace = &trace_storage;
-    trace->fingerprint = sweep_fingerprint;
-    trace->start_ns = MonotonicNowNs();
-  }
-
-  try {
+  return Serve<std::vector<double>>(control, "sweep", [&](Scope& scope) {
+    const std::uint64_t circuit_key = CircuitKey(model, pattern);
+    // Traced in the sweep domain of the circuit key.
+    StartTrace(scope, HashCombine(circuit_key, kKeySweep));
     const std::shared_ptr<const CachedCircuit> entry =
-        CircuitFor(model, pattern, circuit_key,
-                   has_control ? &run : nullptr, trace);
+        CircuitFor(model, pattern, circuit_key, scope.control(), scope.trace);
     std::vector<double> answers(params.size());
     circuit::EvalScratch scratch;
-    const obs::TraceSpan span(trace, obs::Stage::kCircuitEval);
+    const obs::TraceSpan span(scope.trace, obs::Stage::kCircuitEval);
     const std::uint64_t start = MonotonicNowNs();
     // Points run through the blocked evaluator in chunks: one arena pass
     // covers kEvalLanes bindings, and cancellation/deadline is polled at
@@ -1050,7 +984,7 @@ StatusOr<std::vector<double>> Server::PatternProbSweep(
     bindings.reserve(std::min(params.size(), kSweepChunk));
     for (std::size_t begin = 0; begin < params.size();
          begin += kSweepChunk) {
-      if (has_control) run.Check();
+      if (scope.has_control) scope.run.Check();
       const std::size_t end = std::min(begin + kSweepChunk, params.size());
       bindings.clear();
       for (std::size_t i = begin; i < end; ++i) {
@@ -1070,25 +1004,8 @@ StatusOr<std::vector<double>> Server::PatternProbSweep(
       instruments_->circuit_point_ns.RecordMany(elapsed / params.size(),
                                                 params.size());
     }
-    if (trace != nullptr) {
-      trace->end_ns = MonotonicNowNs();
-      trace->status_code = static_cast<std::uint8_t>(StatusCode::kOk);
-      tracer_.Publish(*trace);
-    }
     return answers;
-  } catch (const CancelledError& e) {
-    instruments_->cancelled.Inc();
-    return Status::Cancelled(e.what());
-  } catch (const DeadlineExceededError& e) {
-    instruments_->deadline_exceeded.Inc();
-    return Status::DeadlineExceeded(e.what());
-  } catch (const std::exception& e) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal(e.what());
-  } catch (...) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal("unknown exception during sweep");
-  }
+  });
 }
 
 double Server::EffectiveHardTarget(double target_half_width,
@@ -1159,76 +1076,53 @@ StatusOr<std::vector<HardEstimate>> Server::HardPatternProbBatch(
   }
   if (patterns.empty()) return std::vector<HardEstimate>{};
 
-  // One admission slot covers the whole pooled batch — the expensive part
-  // (the shared world stream) is drawn once, however many queries ride it.
-  if (TryAdmit(1) == 0) {
-    instruments_->shed.Inc();
-    return Status::ResourceExhausted(
-        "shed by admission control (server full); retry after " +
-        std::to_string(RetryAfterHintNs()) + "ns");
-  }
-  const AdmissionRelease release(*this, 1);
-
-  const std::uint64_t deadline_ns = control.deadline_ns != 0
-                                        ? control.deadline_ns
-                                        : options_.default_deadline_ns;
-  const double target = EffectiveHardTarget(target_half_width, deadline_ns);
-
-  // Per-query keys and cache probes. Pooled answers are bit-identical to
-  // solo ones (the world stream is seeded from the model alone and each
-  // query's stopping rule is query-local), so cached and freshly pooled
-  // answers mix freely; only the misses sample.
-  std::vector<std::uint64_t> keys(patterns.size());
-  std::vector<HardEstimate> answers(patterns.size());
-  std::vector<std::size_t> misses;
-  for (std::size_t q = 0; q < patterns.size(); ++q) {
-    keys[q] = HardKey(PlanKey(model, *patterns[q], kNoTracked), target);
-    if (const auto hit = hard_cache_.Get(keys[q])) {
-      answers[q].estimate = hit->estimate;
-      answers[q].std_error = hit->std_error;
-      answers[q].n_samples = hit->n_samples;
-      answers[q].target_met = hit->target_met;
-      continue;
+  using Answers = std::vector<HardEstimate>;
+  return Serve<Answers>(control, "hard sampling", [&](Scope& scope) {
+    const double target = EffectiveHardTarget(target_half_width,
+                                              scope.deadline_ns);
+    // Per-query keys and cache probes. Pooled answers are bit-identical to
+    // solo ones (the world stream is seeded from the model alone and each
+    // query's stopping rule is query-local), so cached and freshly pooled
+    // answers mix freely; only the misses sample.
+    std::vector<std::uint64_t> keys(patterns.size());
+    Answers answers(patterns.size());
+    std::vector<std::size_t> misses;
+    for (std::size_t q = 0; q < patterns.size(); ++q) {
+      keys[q] = HardKey(PlanKey(model, *patterns[q], kNoTracked), target);
+      if (const auto hit = hard_cache_.Get(keys[q])) {
+        answers[q].estimate = hit->estimate;
+        answers[q].std_error = hit->std_error;
+        answers[q].n_samples = hit->n_samples;
+        answers[q].target_met = hit->target_met;
+        continue;
+      }
+      misses.push_back(q);
     }
-    misses.push_back(q);
-  }
-  if (misses.empty()) return answers;
+    if (misses.empty()) return answers;
+    StartTrace(scope, keys[misses.front()]);
 
-  // Deterministic trace sampling, keyed on the first miss's hard key.
-  obs::TraceRecord trace_storage;
-  obs::TraceRecord* trace = nullptr;
-  if (tracer_.sample_permyriad() > 0 &&
-      tracer_.ShouldSample(keys[misses.front()])) {
-    trace = &trace_storage;
-    trace->fingerprint = keys[misses.front()];
-    trace->start_ns = MonotonicNowNs();
-  }
+    hard::AdaptiveOptions adaptive;
+    adaptive.target_half_width = target;
+    adaptive.z = options_.hard_z;
+    adaptive.min_samples = options_.hard_min_samples;
+    adaptive.max_samples = std::max(1u, options_.hard_max_samples);
+    adaptive.block_samples = std::max(1u, options_.hard_block_samples);
+    adaptive.threads = effective_threads_;
+    adaptive.seed = HardSeed(model);
+    RunControl cancel_only;
+    cancel_only.cancel = control.cancel;
+    adaptive.control = control.cancel != nullptr ? &cancel_only : nullptr;
+    // The deadline is the non-throwing between-rounds budget: expiry yields
+    // honest deadline-limited answers, not an exception.
+    adaptive.budget = &scope.run.deadline;
 
-  hard::AdaptiveOptions adaptive;
-  adaptive.target_half_width = target;
-  adaptive.z = options_.hard_z;
-  adaptive.min_samples = options_.hard_min_samples;
-  adaptive.max_samples = std::max(1u, options_.hard_max_samples);
-  adaptive.block_samples = std::max(1u, options_.hard_block_samples);
-  adaptive.threads = effective_threads_;
-  adaptive.seed = HardSeed(model);
-  RunControl cancel_only;
-  cancel_only.cancel = control.cancel;
-  adaptive.control = control.cancel != nullptr ? &cancel_only : nullptr;
-  // The deadline is the non-throwing between-rounds budget: expiry yields
-  // honest deadline-limited answers, not an exception.
-  Deadline budget;
-  if (deadline_ns != 0) budget = Deadline::After(deadline_ns);
-  adaptive.budget = &budget;
+    std::vector<const infer::LabelPattern*> miss_patterns;
+    miss_patterns.reserve(misses.size());
+    for (const std::size_t q : misses) miss_patterns.push_back(patterns[q]);
 
-  std::vector<const infer::LabelPattern*> miss_patterns;
-  miss_patterns.reserve(misses.size());
-  for (const std::size_t q : misses) miss_patterns.push_back(patterns[q]);
-
-  try {
     std::vector<hard::AdaptiveEstimate> pooled;
     {
-      const obs::TraceSpan span(trace, obs::Stage::kHardSample);
+      const obs::TraceSpan span(scope.trace, obs::Stage::kHardSample);
       const bool timed = options_.latency_histograms;
       const std::uint64_t start = timed ? MonotonicNowNs() : 0;
       pooled = hard::EstimatePatternProbsPooled(model, miss_patterns, adaptive);
@@ -1259,25 +1153,8 @@ StatusOr<std::vector<HardEstimate>> Server::HardPatternProbBatch(
       hard_cache_.Put(keys[q],
                       std::make_shared<const CachedHard>(std::move(cached)));
     }
-    if (trace != nullptr) {
-      trace->end_ns = MonotonicNowNs();
-      trace->status_code = static_cast<std::uint8_t>(StatusCode::kOk);
-      tracer_.Publish(*trace);
-    }
     return answers;
-  } catch (const CancelledError& e) {
-    instruments_->cancelled.Inc();
-    return Status::Cancelled(e.what());
-  } catch (const DeadlineExceededError& e) {
-    instruments_->deadline_exceeded.Inc();
-    return Status::DeadlineExceeded(e.what());
-  } catch (const std::exception& e) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal(e.what());
-  } catch (...) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal("unknown exception during hard sampling");
-  }
+  });
 }
 
 StatusOr<ConsensusAnswer> Server::ConsensusTopK(
@@ -1304,100 +1181,57 @@ StatusOr<ConsensusAnswer> Server::ConsensusTopK(
         std::to_string(options_.max_consensus_items));
   }
 
-  if (TryAdmit(1) == 0) {
-    instruments_->shed.Inc();
-    return Status::ResourceExhausted(
-        "shed by admission control (server full); retry after " +
-        std::to_string(RetryAfterHintNs()) + "ns");
-  }
-  const AdmissionRelease release(*this, 1);
+  return Serve<ConsensusAnswer>(control, "consensus", [&](Scope& scope) {
+    // The cache key covers the full consensus computation (model + sampling
+    // budget), never top_k: the cached entry holds the full-length consensus
+    // and each response truncates its own k.
+    StreamHash key_hash;
+    key_hash.Mix(FingerprintModel(model.model()));
+    key_hash.Mix(kKeyConsensus);
+    key_hash.Mix(options_.consensus_samples);
+    key_hash.Mix(options_.hard_block_samples);
+    const std::uint64_t key = key_hash.digest();
 
-  // The cache key covers the full consensus computation (model + sampling
-  // budget), never top_k: the cached entry holds the full-length consensus
-  // and each response truncates its own k.
-  StreamHash key_hash;
-  key_hash.Mix(FingerprintModel(model.model()));
-  key_hash.Mix(kKeyConsensus);
-  key_hash.Mix(options_.consensus_samples);
-  key_hash.Mix(options_.hard_block_samples);
-  const std::uint64_t key = key_hash.digest();
-
-  const auto truncate = [&](const CachedHard& cached) {
+    std::shared_ptr<const CachedHard> value = hard_cache_.Get(key);
+    if (value == nullptr) {
+      StartTrace(scope, key);
+      hard::ConsensusOptions consensus;
+      consensus.samples = std::max(1u, options_.consensus_samples);
+      consensus.block_samples = std::max(1u, options_.hard_block_samples);
+      consensus.threads = effective_threads_;
+      consensus.seed = HashCombine(key, kKeyMcSeed);
+      consensus.control = scope.control();
+      hard::ConsensusResult result;
+      {
+        const obs::TraceSpan span(scope.trace, obs::Stage::kHardSample);
+        const bool timed = options_.latency_histograms;
+        const std::uint64_t start = timed ? MonotonicNowNs() : 0;
+        result = hard::ConsensusRanking(model.model(), consensus);
+        if (timed) instruments_->consensus_ns.Record(MonotonicNowNs() - start);
+      }
+      instruments_->hard_samples.Inc(result.n_samples);
+      CachedHard cached;
+      cached.ranking = std::move(result.ranking);
+      cached.mean_footrule = result.mean_footrule;
+      cached.footrule_std_error = result.footrule_std_error;
+      cached.mean_kendall = result.mean_kendall;
+      cached.kendall_std_error = result.kendall_std_error;
+      cached.n_samples = result.n_samples;
+      value = hard_cache_.Put(
+          key, std::make_shared<const CachedHard>(std::move(cached)));
+    }
     ConsensusAnswer answer;
     answer.ranking.assign(
-        cached.ranking.begin(),
-        cached.ranking.begin() +
-            std::min<std::size_t>(top_k, cached.ranking.size()));
-    answer.mean_footrule = cached.mean_footrule;
-    answer.footrule_std_error = cached.footrule_std_error;
-    answer.mean_kendall = cached.mean_kendall;
-    answer.kendall_std_error = cached.kendall_std_error;
-    answer.n_samples = cached.n_samples;
+        value->ranking.begin(),
+        value->ranking.begin() +
+            std::min<std::size_t>(top_k, value->ranking.size()));
+    answer.mean_footrule = value->mean_footrule;
+    answer.footrule_std_error = value->footrule_std_error;
+    answer.mean_kendall = value->mean_kendall;
+    answer.kendall_std_error = value->kendall_std_error;
+    answer.n_samples = value->n_samples;
     return answer;
-  };
-  if (const auto hit = hard_cache_.Get(key)) return truncate(*hit);
-
-  obs::TraceRecord trace_storage;
-  obs::TraceRecord* trace = nullptr;
-  if (tracer_.sample_permyriad() > 0 && tracer_.ShouldSample(key)) {
-    trace = &trace_storage;
-    trace->fingerprint = key;
-    trace->start_ns = MonotonicNowNs();
-  }
-
-  const std::uint64_t deadline_ns = control.deadline_ns != 0
-                                        ? control.deadline_ns
-                                        : options_.default_deadline_ns;
-  RunControl run;
-  if (deadline_ns != 0) run.deadline = Deadline::After(deadline_ns);
-  run.cancel = control.cancel;
-  const bool has_control = deadline_ns != 0 || control.cancel != nullptr;
-
-  hard::ConsensusOptions consensus;
-  consensus.samples = std::max(1u, options_.consensus_samples);
-  consensus.block_samples = std::max(1u, options_.hard_block_samples);
-  consensus.threads = effective_threads_;
-  consensus.seed = HashCombine(key, kKeyMcSeed);
-  consensus.control = has_control ? &run : nullptr;
-
-  try {
-    hard::ConsensusResult result;
-    {
-      const obs::TraceSpan span(trace, obs::Stage::kHardSample);
-      const bool timed = options_.latency_histograms;
-      const std::uint64_t start = timed ? MonotonicNowNs() : 0;
-      result = hard::ConsensusRanking(model.model(), consensus);
-      if (timed) instruments_->consensus_ns.Record(MonotonicNowNs() - start);
-    }
-    instruments_->hard_samples.Inc(result.n_samples);
-    CachedHard cached;
-    cached.ranking = std::move(result.ranking);
-    cached.mean_footrule = result.mean_footrule;
-    cached.footrule_std_error = result.footrule_std_error;
-    cached.mean_kendall = result.mean_kendall;
-    cached.kendall_std_error = result.kendall_std_error;
-    cached.n_samples = result.n_samples;
-    const std::shared_ptr<const CachedHard> value = hard_cache_.Put(
-        key, std::make_shared<const CachedHard>(std::move(cached)));
-    if (trace != nullptr) {
-      trace->end_ns = MonotonicNowNs();
-      trace->status_code = static_cast<std::uint8_t>(StatusCode::kOk);
-      tracer_.Publish(*trace);
-    }
-    return truncate(*value);
-  } catch (const CancelledError& e) {
-    instruments_->cancelled.Inc();
-    return Status::Cancelled(e.what());
-  } catch (const DeadlineExceededError& e) {
-    instruments_->deadline_exceeded.Inc();
-    return Status::DeadlineExceeded(e.what());
-  } catch (const std::exception& e) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal(e.what());
-  } catch (...) {
-    instruments_->internal_errors.Inc();
-    return Status::Internal("unknown exception during consensus");
-  }
+  });
 }
 
 /// One unique computation within a batch: distinct (result key, deadline,

@@ -57,11 +57,6 @@
 /// The sampler is seeded from the request fingerprint, so repeating the
 /// request reproduces the identical approximate answer.
 ///
-/// The legacy double-returning entry points (`PatternProbability`,
-/// `MostProbableTopMatching`, `PatternMinMaxProbability`) remain
-/// trusted-caller conveniences: they skip validation, deadlines, and
-/// admission control, and keep PPREF_CHECK semantics on misuse.
-///
 /// ## Determinism guarantee
 /// Every *exact* answer is bit-identical to what a fresh per-request serial
 /// call of the underlying `infer::` function would return: the caches
@@ -96,7 +91,6 @@
 #include "ppref/common/status.h"
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/matching.h"
-#include "ppref/infer/minmax_condition.h"
 #include "ppref/infer/pattern.h"
 #include "ppref/obs/metrics.h"
 #include "ppref/obs/trace.h"
@@ -303,27 +297,6 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Pr(g | σ, Π, λ), memoized. Trusted-caller path (aborts on misuse).
-  double PatternProbability(const infer::LabeledRimModel& model,
-                            const infer::LabelPattern& pattern);
-
-  /// The most probable top matching, memoized. Same contract as
-  /// infer::MostProbableTopMatching. Trusted-caller path.
-  std::optional<std::pair<infer::Matching, double>> MostProbableTopMatching(
-      const infer::LabeledRimModel& model, const infer::LabelPattern& pattern);
-
-  /// Pr(g ∧ φ), memoized. `condition_fingerprint` must identify φ: equal
-  /// fingerprints assert equal predicates (the server cannot hash a
-  /// std::function, so the caller names it — e.g. hash of "top-3(Clinton)").
-  /// Pass a fingerprint of 0 to bypass the result cache (unnameable φ);
-  /// the plan cache still applies, keyed by (model, pattern, tracked).
-  /// Trusted-caller path.
-  double PatternMinMaxProbability(const infer::LabeledRimModel& model,
-                                  const infer::LabelPattern& pattern,
-                                  const std::vector<infer::LabelId>& tracked,
-                                  const infer::MinMaxCondition& condition,
-                                  std::uint64_t condition_fingerprint);
-
   /// Serves one request through the full fault-tolerant pipeline
   /// (validation, admission, deadline, degradation). Never throws; the
   /// response's status is the single source of truth.
@@ -424,7 +397,8 @@ class Server {
   /// The server's instrument registry (its own unless one was injected).
   obs::MetricsRegistry& registry() const { return *registry_; }
 
-  /// Drops all three caches and their counters (not the request counters).
+  /// Drops all four caches — plan, result, circuit and hard — and their
+  /// counters (not the request counters).
   void ClearCaches();
 
   const ServerOptions& options() const { return options_; }
@@ -437,6 +411,7 @@ class Server {
   struct Outcome;
   struct Unit;
   struct Instruments;
+  struct Scope;
 
   /// Request validation for the status entry points; Ok or kInvalidArgument.
   Status Validate(const Request& request) const;
@@ -451,6 +426,26 @@ class Server {
 
   /// Heuristic retry-after hint: observed mean per-request busy time.
   std::uint64_t RetryAfterHintNs() const;
+
+  /// Runs `body`, mapping what it throws to a terminal status and counting
+  /// it: cancellation → kCancelled, deadline → kDeadlineExceeded, anything
+  /// else → kInternal ("unknown exception during `what`" when it is not a
+  /// std::exception). Ok when `body` returns normally. Never throws.
+  template <typename Body>
+  Status Guard(const char* what, Body&& body);
+
+  /// The serving envelope of the single-call modalities (sweep, hard,
+  /// consensus), entered after the modality's own validation: claims one
+  /// admission slot (shedding with a retry-after hint when full), resolves
+  /// the deadline into a `Scope`, runs `body(scope)` under Guard, and
+  /// publishes the trace the body started on success. `body` returns the
+  /// answer (a T) and does the modality's cache probe and compute.
+  template <typename T, typename Body>
+  StatusOr<T> Serve(const RequestControl& control, const char* what,
+                    Body&& body);
+
+  /// Starts the scope's trace when the tracer samples `fingerprint`.
+  void StartTrace(Scope& scope, std::uint64_t fingerprint);
 
   /// Result-cache probe (respects forced-miss fault injection). On an LRU
   /// miss with a store configured, consults the store and promotes a decoded
@@ -475,8 +470,7 @@ class Server {
   std::shared_ptr<const CachedPlan> PlanFor(
       const infer::LabeledRimModel& model, const infer::LabelPattern& pattern,
       const std::vector<infer::LabelId>& tracked, std::uint64_t plan_key,
-      const RunControl* control = nullptr,
-      obs::TraceRecord* trace = nullptr);
+      const RunControl* control, obs::TraceRecord* trace);
 
   /// Looks up or compiles the circuit for (model structure, labeling,
   /// pattern), going through PlanFor for the underlying plan (so a sweep
@@ -490,11 +484,10 @@ class Server {
   /// Computes one request exactly (plan lookup + DP execution, timed).
   /// Throws DeadlineExceededError / CancelledError via `control`.
   CachedResult Compute(const Request& request, std::uint64_t plan_key,
-                       const RunControl* control = nullptr,
-                       obs::TraceRecord* trace = nullptr);
+                       const RunControl* control, obs::TraceRecord* trace);
 
-  /// Compute wrapped in the failure policy: catches stop exceptions, applies
-  /// the degradation policy, maps everything to a terminal Outcome. Never
+  /// Compute wrapped in the failure policy: maps stop exceptions through
+  /// Guard, applies the degradation policy, returns a terminal Outcome. Never
   /// throws. `deadline_ns` is the request's resolved deadline *value* (0 =
   /// none) — the degradation fallback derives its precision target from it.
   Outcome ComputeGuarded(const Request& request, std::uint64_t plan_key,
@@ -530,9 +523,6 @@ class Server {
   /// Refreshes the scrape-time gauges (in-flight depth, cache counters,
   /// trace totals) from their sources.
   void SyncScrapeGauges() const;
-
-  /// RAII in-flight depth tracking (legacy unconditional admission).
-  class InFlight;
 
   ServerOptions options_;
   /// options_.threads resolved through ppref::ClampThreads once, at

@@ -406,23 +406,33 @@ std::string Hex(const std::string& bytes) {
   return out;
 }
 
-TEST(NetCodecGoldenTest, RequestBytesAreFixed) {
+/// The golden tests' 3-item model: reference (2, 0, 1), rows 1 |
+/// 0.25 0.75 | 0.5 0.25 0.25, labels {7}, {8, 9}, {}.
+infer::LabeledRimModel GoldenModel() {
   infer::ItemLabeling labeling(3);
   labeling.AddLabel(0, 7);
   labeling.AddLabel(1, 8);
   labeling.AddLabel(1, 9);
+  return infer::LabeledRimModel(
+      rim::RimModel(
+          rim::Ranking({2, 0, 1}),
+          rim::InsertionFunction({{1.0}, {0.25, 0.75}, {0.5, 0.25, 0.25}})),
+      std::move(labeling));
+}
+
+/// The golden tests' pattern: 2 nodes (7, 9), 1 edge 0 -> 1.
+infer::LabelPattern GoldenPattern() {
   infer::LabelPattern pattern;
   pattern.AddNode(7);
   pattern.AddNode(9);
   pattern.AddEdge(0, 1);
-  WireRequest request(
-      0x0102030405060708ull, serve::Request::Kind::kTopMatching, 123456789,
-      infer::LabeledRimModel(
-          rim::RimModel(rim::Ranking({2, 0, 1}),
-                        rim::InsertionFunction(
-                            {{1.0}, {0.25, 0.75}, {0.5, 0.25, 0.25}})),
-          std::move(labeling)),
-      std::move(pattern));
+  return pattern;
+}
+
+TEST(NetCodecGoldenTest, RequestBytesAreFixed) {
+  WireRequest request(0x0102030405060708ull,
+                      serve::Request::Kind::kTopMatching, 123456789,
+                      GoldenModel(), GoldenPattern());
   request.idempotency_key = 0xA1B2C3D4E5F60718ull;
 
   EXPECT_EQ(Hex(EncodeRequest(request)),
@@ -442,6 +452,60 @@ TEST(NetCodecGoldenTest, RequestBytesAreFixed) {
             // pattern: 2 nodes (7, 9), 1 edge 0 -> 1
             "02000000" "07000000" "09000000"
             "01000000" "00000000" "01000000");
+}
+
+// The wrapped requests: a u32 length, then the base request body exactly as
+// EncodeRequest writes it (kind pattern_prob, no idempotency key), then the
+// kind's own tail.
+
+/// Base preamble (id, kind, flags, reserved, deadline) and GoldenModel().
+const std::string kGoldenBaseHex =
+    "0807060504030201" "00" "00" "0000" "15cd5b0700000000"
+    // m, reference order
+    "03000000" "020000000000000001000000"
+    // insertion rows 1 | 0.25 0.75 | 0.5 0.25 0.25
+    "000000000000f03f"
+    "000000000000d03f" "000000000000e83f"
+    "000000000000e03f" "000000000000d03f" "000000000000d03f"
+    // labels: {7}, {8, 9}, {}
+    "01000000" "07000000"
+    "02000000" "08000000" "09000000"
+    "00000000";
+
+/// GoldenPattern(): 2 nodes (7, 9), 1 edge 0 -> 1.
+const std::string kGoldenPatternHex =
+    "02000000" "07000000" "09000000"
+    "01000000" "00000000" "01000000";
+
+TEST(NetCodecGoldenTest, SweepRequestBytesAreFixed) {
+  const WireSweepRequest request(0x0102030405060708ull, 123456789,
+                                 GoldenModel(), GoldenPattern(),
+                                 {{0.5}, {0.25, 0.5, 1.0}});
+  EXPECT_EQ(Hex(EncodeSweepRequest(request)),
+            "84000000" + kGoldenBaseHex + kGoldenPatternHex +
+                // 2 points: {0.5}, {0.25, 0.5, 1}
+                "02000000"
+                "01000000" "000000000000e03f"
+                "03000000" "000000000000d03f" "000000000000e03f"
+                "000000000000f03f");
+}
+
+TEST(NetCodecGoldenTest, HardRequestBytesAreFixed) {
+  const WireHardRequest request(0x0102030405060708ull, 123456789, 0.125,
+                                GoldenModel(), GoldenPattern());
+  EXPECT_EQ(Hex(EncodeHardRequest(request)),
+            "84000000" + kGoldenBaseHex + kGoldenPatternHex +
+                // target_half_width 0.125
+                "000000000000c03f");
+}
+
+TEST(NetCodecGoldenTest, ConsensusRequestBytesAreFixed) {
+  const WireConsensusRequest request(0x0102030405060708ull, 123456789, 2,
+                                     GoldenModel());
+  EXPECT_EQ(Hex(EncodeConsensusRequest(request)),
+            "74000000" + kGoldenBaseHex +
+                // empty pattern: 0 nodes, 0 edges; then top_k 2
+                "00000000" "00000000" "02000000");
 }
 
 TEST(NetCodecGoldenTest, ResponseBytesAreFixed) {

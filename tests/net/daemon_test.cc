@@ -18,6 +18,7 @@
 #include "ppref/infer/top_prob.h"
 #include "ppref/net/client.h"
 #include "ppref/net/codec.h"
+#include "ppref/net/json.h"
 #include "ppref/rim/insertion.h"
 #include "ppref/rim/ranking.h"
 #include "ppref/rim/rim_model.h"
@@ -66,6 +67,45 @@ DaemonOptions AdoptOnlyOptions() {
   options.port = -1;
   options.workers = 2;
   return options;
+}
+
+/// Sends all of `bytes` on `fd`.
+void SendAll(int fd, const std::string& bytes) {
+  ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// One HTTP exchange over a fresh adopted socketpair: POSTs `body` to
+/// `target` and returns the raw response (the daemon closes after it).
+std::string HttpPost(Daemon& daemon, const std::string& target,
+                     const std::string& body) {
+  const int fd = AdoptPair(daemon);
+  const std::string request = "POST " + target +
+                              " HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+                              std::to_string(body.size()) + "\r\n\r\n" + body;
+  SendAll(fd, request);
+  const std::string response = ReadUntilEof(fd);
+  close(fd);
+  return response;
+}
+
+/// The body of a raw HTTP response.
+std::string HttpBody(const std::string& response) {
+  const std::size_t at = response.find("\r\n\r\n");
+  return at == std::string::npos ? "" : response.substr(at + 4);
+}
+
+/// A 4-item Mallows model over labels {0, 1, 0, 1} as request JSON fields
+/// (no closing brace, so a caller can append its kind's own fields).
+const char* const kModelJson =
+    "{\"id\": 5,"
+    " \"model\": {\"m\": 4, \"insertion\": {\"phi\": 0.5},"
+    "  \"labels\": [[0], [1], [0], [1]]}";
+const char* const kPatternJson =
+    ", \"pattern\": {\"nodes\": [0, 1], \"edges\": [[0, 1]]}";
+
+std::uint64_t CounterValue(Daemon& daemon, const std::string& name) {
+  return daemon.server().registry().GetCounter(name).Value();
 }
 
 TEST(NetDaemonTest, BinaryQueryBitIdenticalToLocalInference) {
@@ -417,6 +457,176 @@ TEST(NetDaemonTest, MetricsExposeNetInstruments) {
             std::string::npos);
   EXPECT_NE(response.find("ppref_serve_requests_total"), std::string::npos);
   close(fd);
+  daemon.Stop();
+}
+
+TEST(NetDaemonTest, KindCountersCountMalformedRequestsOnBothTransports) {
+  // A request counts toward its kind once routed there, whatever its body:
+  // a sweep frame that fails to decode and a /sweep POST whose JSON fails
+  // to parse each raise the sweep counter by exactly one.
+  Daemon daemon(AdoptOnlyOptions());
+  ASSERT_TRUE(daemon.Start().ok());
+  const std::string sweeps = "ppref_net_requests_sweep_total";
+  ASSERT_EQ(CounterValue(daemon, sweeps), 0u);
+
+  const int fd = AdoptPair(daemon);
+  SendAll(fd, EncodeFrame(FrameType::kSweepRequest, "not-a-sweep"));
+  FrameAssembler assembler;
+  Frame frame;
+  char buffer[4096];
+  while (!assembler.Next(&frame)) {
+    pollfd p{fd, POLLIN, 0};
+    ASSERT_GT(poll(&p, 1, 10000), 0);
+    const ssize_t n = read(fd, buffer, sizeof(buffer));
+    ASSERT_GT(n, 0);
+    ASSERT_TRUE(assembler.Feed(buffer, static_cast<std::size_t>(n)).ok());
+  }
+  ASSERT_EQ(frame.type, FrameType::kSweepResponse);
+  StatusOr<WireSweepResponse> refused = DecodeSweepResponse(frame.body);
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(refused->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CounterValue(daemon, sweeps), 1u);
+  close(fd);
+
+  const std::string response = HttpPost(daemon, "/sweep", "{{{");
+  EXPECT_NE(response.find("400"), std::string::npos) << response;
+  EXPECT_EQ(CounterValue(daemon, sweeps), 2u);
+  EXPECT_EQ(CounterValue(daemon, "ppref_net_requests_hard_total"), 0u);
+  EXPECT_EQ(CounterValue(daemon, "ppref_net_requests_consensus_total"), 0u);
+  daemon.Stop();
+}
+
+TEST(NetDaemonTest, DrainRefusesEveryRequestKindWithItsOwnResponse) {
+  Daemon daemon(AdoptOnlyOptions());
+  ASSERT_TRUE(daemon.Start().ok());
+  const int fd = AdoptPair(daemon);
+
+  // Keep the connection open through the drain: a pong larger than the
+  // socket buffer cannot flush while this end does not read, so the drain
+  // leaves the connection open until its output is delivered.
+  const std::string payload(4u << 20, 'p');
+  SendAll(fd, EncodeFrame(FrameType::kPing, payload));
+  pollfd p{fd, POLLIN, 0};
+  ASSERT_GT(poll(&p, 1, 10000), 0) << "pong never started";
+  daemon.RequestDrain();
+
+  const serve::SyntheticWorkload workload = serve::MakeSyntheticWorkload(1);
+  const infer::LabeledRimModel& model = workload.models[0];
+  const infer::LabelPattern& pattern = workload.patterns[0];
+  SendAll(fd, EncodeFrame(FrameType::kRequest,
+                          EncodeRequest(WireRequest(
+                              71, serve::Request::Kind::kPatternProb, 0,
+                              model, pattern))) +
+                  EncodeFrame(FrameType::kSweepRequest,
+                              EncodeSweepRequest(WireSweepRequest(
+                                  72, 0, model, pattern, {{0.5}}))) +
+                  EncodeFrame(FrameType::kHardRequest,
+                              EncodeHardRequest(WireHardRequest(
+                                  73, 0, 0.05, model, pattern))) +
+                  EncodeFrame(FrameType::kConsensusRequest,
+                              EncodeConsensusRequest(
+                                  WireConsensusRequest(74, 0, 2, model))));
+
+  const std::string all = ReadUntilEof(fd);
+  close(fd);
+  FrameAssembler assembler;
+  ASSERT_TRUE(assembler.Feed(all.data(), all.size()).ok());
+  Frame frame;
+  ASSERT_TRUE(assembler.Next(&frame));
+  EXPECT_EQ(frame.type, FrameType::kPong);
+  EXPECT_EQ(frame.body, payload);
+
+  const auto expect_refused = [](std::uint64_t id, const Status& status,
+                                 std::uint64_t want_id) {
+    EXPECT_EQ(id, want_id);
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(status.message(), "daemon draining");
+  };
+  ASSERT_TRUE(assembler.Next(&frame));
+  ASSERT_EQ(frame.type, FrameType::kResponse);
+  StatusOr<WireResponse> plain = DecodeResponse(frame.body);
+  ASSERT_TRUE(plain.ok());
+  expect_refused(plain->id, plain->status, 71);
+
+  ASSERT_TRUE(assembler.Next(&frame));
+  ASSERT_EQ(frame.type, FrameType::kSweepResponse);
+  StatusOr<WireSweepResponse> sweep = DecodeSweepResponse(frame.body);
+  ASSERT_TRUE(sweep.ok());
+  expect_refused(sweep->id, sweep->status, 72);
+
+  ASSERT_TRUE(assembler.Next(&frame));
+  ASSERT_EQ(frame.type, FrameType::kHardResponse);
+  StatusOr<WireHardResponse> hard = DecodeHardResponse(frame.body);
+  ASSERT_TRUE(hard.ok());
+  expect_refused(hard->id, hard->status, 73);
+
+  ASSERT_TRUE(assembler.Next(&frame));
+  ASSERT_EQ(frame.type, FrameType::kConsensusResponse);
+  StatusOr<WireConsensusResponse> consensus =
+      DecodeConsensusResponse(frame.body);
+  ASSERT_TRUE(consensus.ok());
+  expect_refused(consensus->id, consensus->status, 74);
+
+  EXPECT_FALSE(assembler.Next(&frame));
+  EXPECT_EQ(CounterValue(daemon, "ppref_net_shed_draining_total"), 4u);
+  daemon.Join();
+}
+
+TEST(NetDaemonTest, BinaryAndHttpAnswersAreBitIdenticalForEveryKind) {
+  // Each kind's request is parsed from its JSON body and sent over the
+  // binary protocol too; the binary answer, rendered as JSON, must be the
+  // HTTP answer byte for byte (JSON spells doubles as %.17g, so byte
+  // equality is bit equality).
+  Daemon daemon(AdoptOnlyOptions());
+  ASSERT_TRUE(daemon.Start().ok());
+  Client client = Client::FromFd(AdoptPair(daemon));
+  const auto parse = [](const std::string& json) {
+    StatusOr<JsonValue> document = ParseJson(json);
+    EXPECT_TRUE(document.ok()) << document.status().ToString();
+    return *document;
+  };
+
+  const std::string query = std::string(kModelJson) + kPatternJson +
+                            ", \"kind\": \"top_matching\"}";
+  StatusOr<WireRequest> plain = WireRequestFromJson(parse(query));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  StatusOr<WireResponse> plain_answer = client.Call(*plain);
+  ASSERT_TRUE(plain_answer.ok()) << plain_answer.status().ToString();
+  ASSERT_TRUE(plain_answer->status.ok());
+  EXPECT_EQ(HttpBody(HttpPost(daemon, "/query", query)),
+            JsonFromWireResponse(*plain_answer));
+
+  const std::string sweep =
+      std::string(kModelJson) + kPatternJson + ", \"params\": [0.25, 0.75]}";
+  StatusOr<WireSweepRequest> sweep_request =
+      SweepRequestFromJson(parse(sweep));
+  ASSERT_TRUE(sweep_request.ok()) << sweep_request.status().ToString();
+  StatusOr<WireSweepResponse> sweep_answer = client.CallSweep(*sweep_request);
+  ASSERT_TRUE(sweep_answer.ok()) << sweep_answer.status().ToString();
+  ASSERT_TRUE(sweep_answer->status.ok());
+  EXPECT_EQ(HttpBody(HttpPost(daemon, "/sweep", sweep)),
+            JsonFromWireSweepResponse(*sweep_answer));
+
+  const std::string hard =
+      std::string(kModelJson) + kPatternJson + ", \"target\": 0.05}";
+  StatusOr<WireHardRequest> hard_request = HardRequestFromJson(parse(hard));
+  ASSERT_TRUE(hard_request.ok()) << hard_request.status().ToString();
+  StatusOr<WireHardResponse> hard_answer = client.CallHard(*hard_request);
+  ASSERT_TRUE(hard_answer.ok()) << hard_answer.status().ToString();
+  ASSERT_TRUE(hard_answer->status.ok());
+  EXPECT_EQ(HttpBody(HttpPost(daemon, "/hard", hard)),
+            JsonFromWireHardResponse(*hard_answer));
+
+  const std::string consensus = std::string(kModelJson) + ", \"top_k\": 2}";
+  StatusOr<WireConsensusRequest> consensus_request =
+      ConsensusRequestFromJson(parse(consensus));
+  ASSERT_TRUE(consensus_request.ok()) << consensus_request.status().ToString();
+  StatusOr<WireConsensusResponse> consensus_answer =
+      client.CallConsensus(*consensus_request);
+  ASSERT_TRUE(consensus_answer.ok()) << consensus_answer.status().ToString();
+  ASSERT_TRUE(consensus_answer->status.ok());
+  EXPECT_EQ(HttpBody(HttpPost(daemon, "/consensus", consensus)),
+            JsonFromWireConsensusResponse(*consensus_answer));
   daemon.Stop();
 }
 

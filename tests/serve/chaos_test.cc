@@ -401,7 +401,9 @@ TEST_F(ServeChaosInjectionTest, ConcurrentMissStormCompilesPlanOnce) {
   std::vector<double> answers(kThreads, -1.0);
   for (unsigned t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
-      answers[t] = server.PatternProbability(model, pattern);
+      const Response response = server.Evaluate(MakeRequest(model, pattern));
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      answers[t] = response.probability;
     });
   }
   for (std::thread& thread : pool) thread.join();

@@ -13,10 +13,8 @@
 
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/labeling.h"
-#include "ppref/infer/minmax_condition.h"
 #include "ppref/infer/pattern.h"
 #include "ppref/infer/top_prob.h"
-#include "ppref/infer/top_prob_minmax.h"
 #include "ppref/ppd/evaluator.h"
 #include "ppref/ppd/ppd.h"
 #include "ppref/ppd/ucq_evaluator.h"
@@ -47,13 +45,31 @@ infer::LabelPattern Chain(const std::vector<unsigned>& labels) {
   return pattern;
 }
 
+/// Serves one request through `Evaluate`, which must answer OK.
+Response Serve(Server& server, const infer::LabeledRimModel& model,
+               const infer::LabelPattern& pattern, Request::Kind kind) {
+  Request request;
+  request.kind = kind;
+  request.model = &model;
+  request.pattern = &pattern;
+  Response response = server.Evaluate(request);
+  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  return response;
+}
+
+double Probability(Server& server, const infer::LabeledRimModel& model,
+                   const infer::LabelPattern& pattern) {
+  return Serve(server, model, pattern, Request::Kind::kPatternProb)
+      .probability;
+}
+
 TEST(ServeServerTest, PatternProbMatchesDirectInferenceAndCaches) {
   const infer::LabeledRimModel model = MakeModel(6, 0.5);
   const infer::LabelPattern pattern = Chain({0, 1, 2});
   Server server;
   const double expected = infer::PatternProb(model, pattern);
-  EXPECT_EQ(server.PatternProbability(model, pattern), expected);
-  EXPECT_EQ(server.PatternProbability(model, pattern), expected);
+  EXPECT_EQ(Probability(server, model, pattern), expected);
+  EXPECT_EQ(Probability(server, model, pattern), expected);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 2u);
   EXPECT_EQ(stats.result_cache.misses, 1u);
@@ -70,46 +86,16 @@ TEST(ServeServerTest, TopMatchingMatchesDirectInference) {
   const infer::LabelPattern pattern = Chain({2, 0});
   Server server;
   const auto expected = infer::MostProbableTopMatching(model, pattern);
-  const auto got = server.MostProbableTopMatching(model, pattern);
-  ASSERT_EQ(got.has_value(), expected.has_value());
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->first, expected->first);
-  EXPECT_EQ(got->second, expected->second);
+  const Response got =
+      Serve(server, model, pattern, Request::Kind::kTopMatching);
+  ASSERT_TRUE(expected.has_value());
+  ASSERT_TRUE(got.top_matching.has_value());
+  EXPECT_EQ(*got.top_matching, expected->first);
+  EXPECT_EQ(got.probability, expected->second);
   // Same (model, pattern), other kind: result miss, but the plan is shared.
-  server.PatternProbability(model, pattern);
+  Probability(server, model, pattern);
   EXPECT_EQ(server.stats().plan_cache.hits, 1u);
   EXPECT_EQ(server.stats().plan_cache.insertions, 1u);
-}
-
-TEST(ServeServerTest, MinMaxMatchesDirectInferenceAndCachesByFingerprint) {
-  const infer::LabeledRimModel model = MakeModel(6, 0.4);
-  const infer::LabelPattern pattern = Chain({0, 1});
-  const std::vector<infer::LabelId> tracked = {0, 2};
-  const infer::MinMaxCondition condition = infer::AllBefore(0, 1);
-  const double expected =
-      infer::PatternMinMaxProb(model, pattern, tracked, condition);
-
-  Server server;
-  constexpr std::uint64_t kPhi = 0x414C4C42ull;  // names AllBefore(0, 1)
-  EXPECT_EQ(server.PatternMinMaxProbability(model, pattern, tracked, condition,
-                                            kPhi),
-            expected);
-  EXPECT_EQ(server.PatternMinMaxProbability(model, pattern, tracked, condition,
-                                            kPhi),
-            expected);
-  ServerStats stats = server.stats();
-  EXPECT_EQ(stats.result_cache.hits, 1u);
-  EXPECT_EQ(stats.result_cache.insertions, 1u);
-
-  // Fingerprint 0 bypasses the result cache but still reuses the plan.
-  EXPECT_EQ(
-      server.PatternMinMaxProbability(model, pattern, tracked, condition, 0),
-      expected);
-  stats = server.stats();
-  EXPECT_EQ(stats.result_cache.insertions, 1u);  // unchanged
-  // Only the uncacheable call reached the plan cache again — the result-
-  // cache hit above never needed a plan.
-  EXPECT_EQ(stats.plan_cache.hits, 1u);
 }
 
 TEST(ServeServerTest, EmptyBatchReturnsNoResponses) {
@@ -235,16 +221,21 @@ TEST(ServeServerTest, ConcurrentMixedWorkloadStress) {
         const std::size_t k = (thread + round) % kWork;
         switch (round % 3) {
           case 0: {
-            if (server.PatternProbability(models[k], patterns[k]) !=
+            if (Probability(server, models[k], patterns[k]) !=
                 expected_prob[k]) {
               mismatch[thread] = true;
             }
             break;
           }
           case 1: {
-            const auto got =
-                server.MostProbableTopMatching(models[k], patterns[k]);
-            if (got != expected_top[k]) mismatch[thread] = true;
+            const Response got = Serve(server, models[k], patterns[k],
+                                       Request::Kind::kTopMatching);
+            const bool same =
+                expected_top[k].has_value()
+                    ? got.top_matching == expected_top[k]->first &&
+                          got.probability == expected_top[k]->second
+                    : !got.top_matching.has_value();
+            if (!same) mismatch[thread] = true;
             break;
           }
           default: {

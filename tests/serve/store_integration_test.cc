@@ -66,6 +66,19 @@ infer::LabelPattern Chain(const std::vector<unsigned>& labels) {
   return pattern;
 }
 
+/// Serves one request through `Evaluate`, which must answer OK.
+Response Serve(Server& server, const infer::LabeledRimModel& model,
+               const infer::LabelPattern& pattern,
+               Request::Kind kind = Request::Kind::kPatternProb) {
+  Request request;
+  request.kind = kind;
+  request.model = &model;
+  request.pattern = &pattern;
+  Response response = server.Evaluate(request);
+  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  return response;
+}
+
 TEST(StoreIntegrationTest, WarmRestartAnswersFromDiskBitIdentically) {
   const std::string dir = TempStoreDir("warm");
   const infer::LabeledRimModel model = MakeModel(7, 0.6);
@@ -80,9 +93,10 @@ TEST(StoreIntegrationTest, WarmRestartAnswersFromDiskBitIdentically) {
     ServerOptions options;
     options.store = persistent.get();
     Server server(options);
-    EXPECT_EQ(server.PatternProbability(model, pattern), expected);
-    const auto top = server.MostProbableTopMatching(model, pattern);
-    ASSERT_TRUE(top.has_value());
+    EXPECT_EQ(Serve(server, model, pattern).probability, expected);
+    const Response top =
+        Serve(server, model, pattern, Request::Kind::kTopMatching);
+    ASSERT_TRUE(top.top_matching.has_value());
     const ServerStats cold = server.stats();
     EXPECT_EQ(cold.store_hits, 0u);
     EXPECT_GT(cold.store_writes, 0u);
@@ -97,9 +111,10 @@ TEST(StoreIntegrationTest, WarmRestartAnswersFromDiskBitIdentically) {
   ServerOptions options;
   options.store = persistent.get();
   Server server(options);
-  EXPECT_EQ(server.PatternProbability(model, pattern), expected);
-  const auto top = server.MostProbableTopMatching(model, pattern);
-  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(Serve(server, model, pattern).probability, expected);
+  const Response top =
+      Serve(server, model, pattern, Request::Kind::kTopMatching);
+  ASSERT_TRUE(top.top_matching.has_value());
   EXPECT_EQ(infer::PatternProb(model, pattern), expected);
   const ServerStats warm = server.stats();
   EXPECT_GT(warm.store_hits, 0u);
@@ -167,7 +182,7 @@ TEST(StoreIntegrationTest, CorruptStoreRecordDegradesToRecompute) {
   ServerOptions options;
   options.store = persistent.get();
   Server server(options);
-  EXPECT_EQ(server.PatternProbability(model, pattern), expected);
+  EXPECT_EQ(Serve(server, model, pattern).probability, expected);
   const ServerStats stats = server.stats();
   EXPECT_GT(stats.store_corrupt, 0u);
 }
@@ -176,7 +191,7 @@ TEST(StoreIntegrationTest, StorelessServerHasNoStoreTraffic) {
   const infer::LabeledRimModel model = MakeModel(6, 0.5);
   const infer::LabelPattern pattern = Chain({0, 1});
   Server server;  // default options: no store
-  EXPECT_EQ(server.PatternProbability(model, pattern),
+  EXPECT_EQ(Serve(server, model, pattern).probability,
             infer::PatternProb(model, pattern));
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.store_hits, 0u);

@@ -4,10 +4,10 @@
 /// against local inference, the same query over HTTP/JSON, one HTTP
 /// parameter sweep (each point checked against a fresh DP at that
 /// dispersion), one hard-tier adaptive estimate and one consensus top-k
-/// (each replayed byte-equal), and a /metrics scrape. Exits 0 iff every
-/// step passed —
-/// check.sh's daemon stage and any post-deploy sanity script run exactly
-/// this.
+/// (each replayed byte-equal), the sweep, hard and consensus queries again
+/// over the binary protocol (each answer bit-identical to its HTTP one),
+/// and a /metrics scrape. Exits 0 iff every step passed — check.sh's
+/// daemon stage and any post-deploy sanity script run exactly this.
 ///
 /// Usage:
 ///   ppref_net_smoke --port P [--host H] [--expect-store-hits]
@@ -25,6 +25,8 @@
 
 #include "ppref/infer/top_prob.h"
 #include "ppref/net/client.h"
+#include "ppref/net/http.h"
+#include "ppref/net/json.h"
 #include "ppref/rim/insertion.h"
 #include "ppref/rim/rim_model.h"
 #include "ppref/serve/workload.h"
@@ -283,7 +285,56 @@ int main(int argc, char** argv) {
     return Fail("http consensus replay", "answer not byte-equal");
   }
 
-  // 8. Metrics exposition includes both serve- and net-layer instruments.
+  // 8. The sweep, hard and consensus queries again over the binary
+  // protocol, each parsed from the JSON body sent above: every answer,
+  // rendered as JSON, must be its HTTP answer byte for byte (doubles are
+  // spelled %.17g, so byte equality is bit equality).
+  const auto parse = [](const std::string& json) {
+    StatusOr<net::JsonValue> document = net::ParseJson(json);
+    return document.ok() ? *document : net::JsonValue();
+  };
+  StatusOr<net::WireSweepRequest> sweep_request =
+      net::SweepRequestFromJson(parse(sweep_json));
+  if (!sweep_request.ok()) {
+    return Fail("binary sweep", sweep_request.status().ToString());
+  }
+  StatusOr<net::WireSweepResponse> binary_sweep =
+      client.CallSweep(*sweep_request);
+  if (!binary_sweep.ok()) {
+    return Fail("binary sweep", binary_sweep.status().ToString());
+  }
+  if (net::JsonFromWireSweepResponse(*binary_sweep) != sweep->body) {
+    return Fail("binary sweep", "answer not bit-identical to the HTTP one");
+  }
+  StatusOr<net::WireHardRequest> hard_request =
+      net::HardRequestFromJson(parse(hard_json));
+  if (!hard_request.ok()) {
+    return Fail("binary hard", hard_request.status().ToString());
+  }
+  StatusOr<net::WireHardResponse> binary_hard = client.CallHard(*hard_request);
+  if (!binary_hard.ok()) {
+    return Fail("binary hard", binary_hard.status().ToString());
+  }
+  if (net::JsonFromWireHardResponse(*binary_hard) != hard->body) {
+    return Fail("binary hard", "answer not bit-identical to the HTTP one");
+  }
+  StatusOr<net::WireConsensusRequest> consensus_request =
+      net::ConsensusRequestFromJson(parse(consensus_json));
+  if (!consensus_request.ok()) {
+    return Fail("binary consensus", consensus_request.status().ToString());
+  }
+  StatusOr<net::WireConsensusResponse> binary_consensus =
+      client.CallConsensus(*consensus_request);
+  if (!binary_consensus.ok()) {
+    return Fail("binary consensus", binary_consensus.status().ToString());
+  }
+  if (net::JsonFromWireConsensusResponse(*binary_consensus) !=
+      consensus->body) {
+    return Fail("binary consensus",
+                "answer not bit-identical to the HTTP one");
+  }
+
+  // 9. Metrics exposition includes both serve- and net-layer instruments.
   StatusOr<net::HttpResult> metrics =
       net::HttpFetch(options.host, options.port, "GET", "/metrics");
   if (!metrics.ok()) return Fail("metrics", metrics.status().ToString());
@@ -301,7 +352,7 @@ int main(int argc, char** argv) {
     return Fail("metrics", "missing expected instruments");
   }
 
-  // 9. Warm-restart assertion: the queries above must have been answered
+  // 10. Warm-restart assertion: the queries above must have been answered
   // from the persistent store, not recomputed.
   if (options.expect_store_hits) {
     // The sample line, not the "# HELP" comment naming the same metric.
@@ -321,7 +372,8 @@ int main(int argc, char** argv) {
   std::printf("ppref_net_smoke: healthz, ping, binary query (bit-identical), "
               "json query (bit-identical), json sweep (bit-identical), "
               "json hard (byte-equal replay), json consensus (byte-equal "
-              "replay), metrics%s — all ok\n",
+              "replay), binary sweep/hard/consensus (bit-identical to "
+              "json), metrics%s — all ok\n",
               options.expect_store_hits ? ", store hits" : "");
   return 0;
 }
