@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "ppref/common/random.h"
 #include "ppref/infer/monte_carlo.h"
 #include "ppref/infer/top_prob.h"
 
@@ -29,11 +28,14 @@ int main() {
   std::printf("%10s %14s %12s %14s %12s\n", "samples", "estimate", "|error|",
               "std error", "time [ms]");
 
-  Rng rng(7);
   for (unsigned samples : {100u, 1000u, 10000u, 100000u, 1000000u}) {
-    infer::McEstimate estimate;
+    infer::McOptions options;
+    options.samples = samples;
+    options.threads = 1;
+    options.seed = 7;
+    hard::BernoulliEstimate estimate;
     const double elapsed = TimeMs([&] {
-      estimate = infer::PatternProbMonteCarlo(model, pattern, samples, rng);
+      estimate = infer::PatternProbMonteCarlo(model, pattern, options);
     });
     std::printf("%10u %14.6f %12.6f %14.6f %12.2f\n", samples,
                 estimate.estimate, std::abs(estimate.estimate - exact),

@@ -60,8 +60,10 @@ int main() {
       std::printf("  conf (world enumeration)   = %.9f   |diff| = %.2e\n",
                   brute, std::abs(exact - brute));
     } else {
-      Rng rng(42);
-      const auto mc = ppd::EstimateBoolean(ppd, q, 50000, rng);
+      infer::McOptions options;
+      options.samples = 50000;
+      options.seed = 42;
+      const auto mc = ppd::EstimateBoolean(ppd, q, options);
       std::printf("  conf (world enumeration)   = %.9f\n", brute);
       std::printf("  conf (Monte Carlo, 50k)    = %.9f +- %.5f\n", mc.estimate,
                   mc.std_error);

@@ -94,9 +94,11 @@ int main() {
   };
   const double joint =
       infer::PatternMinMaxProb(model, pattern, tracked, condition);
-  Rng rng(7);
+  infer::McOptions options;
+  options.samples = 200000;
+  options.seed = 7;
   const auto mc = infer::PatternMinMaxProbMonteCarlo(model, pattern, tracked,
-                                                     condition, 200000, rng);
+                                                     condition, options);
   std::printf("  Pr(thriller above a comedy AND every family movie in "
               "top 6)\n    exact      = %.6f\n    sampled    = %.6f +- %.5f\n",
               joint, mc.estimate, mc.std_error);

@@ -20,14 +20,21 @@
 ///
 /// A disabled target (`target_half_width <= 0`) never stops early, which
 /// makes the adaptive path reduce *bit-exactly* to the fixed-budget seeded
-/// estimate over the same block decomposition — the property the serve
-/// layer's degradation fallback relies on.
+/// estimate over the same block decomposition. When no stop can fire
+/// (target disabled, no `budget`), every block runs in one round: integer
+/// hit sums cannot change with the partition, and all blocks fan out at once.
+///
+/// This is the tree's one round loop, for N queries over one block stream.
+/// Every Bernoulli estimator runs on it (see sampler.h for the list); the
+/// fixed-budget ones disable the target and pass no budget.
 
 #ifndef PPREF_HARD_ESTIMATOR_H_
 #define PPREF_HARD_ESTIMATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "ppref/common/deadline.h"
 #include "ppref/common/random.h"
@@ -102,9 +109,7 @@ struct AdaptiveOptions {
 };
 
 /// What an adaptive run returned and what it paid for it.
-struct AdaptiveEstimate {
-  double estimate = 0.0;
-  double std_error = 0.0;
+struct AdaptiveEstimate : BernoulliEstimate {
   std::uint64_t n_samples = 0;
   /// The precision target was reached (implies a cacheable answer).
   bool target_met = false;
@@ -117,9 +122,26 @@ struct AdaptiveEstimate {
 /// of stopping-rule evaluations logarithmic in the budget.
 unsigned AdaptiveRoundBlocks(unsigned round);
 
-/// Runs the adaptive loop over `block_hits(rng, begin, end)` (the same
-/// block-body shape as sampler.h's SeededBlockHits — count the draws in
-/// [begin, end) that hit).
+/// The block body of a batched run: draws the samples [begin, end) of one
+/// block from `rng` and, for every query q with `active[q] != 0`, adds the
+/// draws that hit q to `hits[q]` (zeroed on entry). Called once per block;
+/// `active` changes only between rounds, and evaluating a query must consume
+/// no randomness, so every query sees the draws a solo run would.
+using BatchBlockHits = std::function<void(
+    Rng& rng, unsigned begin, unsigned end, const char* active,
+    unsigned* hits)>;
+
+/// The adaptive round loop for `queries` Bernoulli estimates over one shared
+/// seeded block stream. Each query applies the stopping rule to its own
+/// hits and leaves the active set once its target is met; `options.budget`
+/// expiry marks every still-active query `deadline_limited`. Options apply
+/// per query. Result order = query order.
+std::vector<AdaptiveEstimate> EstimateBernoulliAdaptiveBatch(
+    const AdaptiveOptions& options, std::size_t queries,
+    const BatchBlockHits& block_hits);
+
+/// The one-query case: `block_hits(rng, begin, end)` counts the draws in
+/// [begin, end) that hit.
 AdaptiveEstimate EstimateBernoulliAdaptive(
     const AdaptiveOptions& options,
     const std::function<unsigned(Rng&, unsigned, unsigned)>& block_hits);

@@ -1,5 +1,5 @@
 /// \file sampler.h
-/// \brief `ppref::hard` — the seeded block-sampling core shared by every
+/// \brief `ppref::hard` — the seeded block decomposition shared by every
 /// Monte-Carlo estimator in the tree.
 ///
 /// All sampling in this codebase follows one discipline, and this header is
@@ -12,15 +12,17 @@
 /// perturbing the draws before it, and lets the world pool (world_pool.h)
 /// prove its answers bit-identical to per-query sampling.
 ///
-/// `infer/monte_carlo` (block size 1024, ranking worlds) and
-/// `ppd/monte_carlo_evaluator` (block size 256, database worlds) both run on
-/// this core, so there is exactly one thread-invariance proof point.
+/// Every Bernoulli estimate runs on estimator.h's one round loop: the hard
+/// tier and degraded serve answers, `infer`'s seeded estimators (ranking
+/// worlds via world_pool.h, block 1024) and `ppd`'s world sampler (block
+/// 256). Histogram reductions (TopMatchingMonteCarlo, ConsensusRanking)
+/// call RunSeededBlocks directly.
 
 #ifndef PPREF_HARD_SAMPLER_H_
 #define PPREF_HARD_SAMPLER_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "ppref/common/deadline.h"
 #include "ppref/common/hash.h"
@@ -38,19 +40,23 @@ struct SampleBlock {
 };
 
 /// Number of blocks a budget of `samples` draws occupies at `block_samples`
-/// per block (the final block may be short).
+/// per block (the final block may be short). Computed in 64 bits, so a
+/// budget near UINT_MAX does not wrap to zero blocks.
 inline unsigned SeededBlockCount(unsigned samples, unsigned block_samples) {
-  return (samples + block_samples - 1) / block_samples;
+  return static_cast<unsigned>(
+      (std::uint64_t{samples} + block_samples - 1) / block_samples);
 }
 
-/// The sample range of absolute block `b` under a total budget of `samples`.
+/// The sample range of absolute block `b < SeededBlockCount(...)` under a
+/// total budget of `samples`; `end` is clamped in 64 bits for the same
+/// reason.
 inline SampleBlock SeededBlockAt(unsigned b, unsigned samples,
                                  unsigned block_samples) {
   SampleBlock block;
   block.index = b;
   block.begin = b * block_samples;
-  const unsigned end = block.begin + block_samples;
-  block.end = end < samples ? end : samples;
+  block.end = static_cast<unsigned>(std::min<std::uint64_t>(
+      std::uint64_t{block.begin} + block_samples, samples));
   return block;
 }
 
@@ -73,14 +79,6 @@ void RunSeededBlocks(unsigned first_block, unsigned block_count,
     body(block, rng);
   });
 }
-
-/// The fixed-budget Bernoulli reduction both `infer::PatternProbMonteCarlo`
-/// and `ppd`'s world sampler are built on: every block counts its hits via
-/// `block_hits(rng, begin, end)`, and the counts sum in block-index order.
-unsigned SeededBlockHits(
-    unsigned samples, unsigned block_samples, std::uint64_t seed,
-    unsigned threads, const RunControl* control,
-    const std::function<unsigned(Rng&, unsigned, unsigned)>& block_hits);
 
 }  // namespace ppref::hard
 

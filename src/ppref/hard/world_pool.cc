@@ -1,89 +1,39 @@
 #include "ppref/hard/world_pool.h"
 
-#include <algorithm>
-#include <vector>
-
-#include "ppref/common/check.h"
-#include "ppref/hard/sampler.h"
 #include "ppref/infer/matching.h"
 #include "ppref/rim/sampler.h"
 
 namespace ppref::hard {
 
+std::vector<AdaptiveEstimate> EstimateRankingEventsPooled(
+    const rim::RimModel& model, std::size_t events,
+    const std::function<bool(std::size_t, const rim::Ranking&)>& holds,
+    const AdaptiveOptions& options) {
+  return EstimateBernoulliAdaptiveBatch(
+      options, events,
+      [&](Rng& rng, unsigned begin, unsigned end, const char* active,
+          unsigned* hits) {
+        for (unsigned s = begin; s < end; ++s) {
+          // One world for the whole batch; evaluation consumes no
+          // randomness, so the stream matches a per-query run exactly.
+          const rim::Ranking tau = rim::SampleRanking(model, rng);
+          for (std::size_t e = 0; e < events; ++e) {
+            if (active[e] != 0 && holds(e, tau)) ++hits[e];
+          }
+        }
+      });
+}
+
 std::vector<AdaptiveEstimate> EstimatePatternProbsPooled(
     const infer::LabeledRimModel& model,
     const std::vector<const infer::LabelPattern*>& patterns,
     const AdaptiveOptions& options) {
-  PPREF_CHECK(options.max_samples > 0);
-  PPREF_CHECK(options.block_samples > 0);
-  const std::size_t q_count = patterns.size();
-  std::vector<AdaptiveEstimate> out(q_count);
-  if (q_count == 0) return out;
-
-  const unsigned total_blocks =
-      SeededBlockCount(options.max_samples, options.block_samples);
-  std::vector<std::uint64_t> hits(q_count, 0);
-  // Which queries still evaluate incoming worlds. Written only between
-  // rounds; the parallel block bodies read it.
-  std::vector<char> active(q_count, 1);
-  std::size_t active_count = q_count;
-
-  unsigned next_block = 0;
-  unsigned round = 0;
-  while (next_block < total_blocks && active_count > 0) {
-    const unsigned count =
-        std::min(AdaptiveRoundBlocks(round), total_blocks - next_block);
-    // round_hits[i][q]: query q's hits in the round's i-th block.
-    std::vector<std::vector<unsigned>> round_hits(
-        count, std::vector<unsigned>(q_count, 0));
-    RunSeededBlocks(
-        next_block, count, options.max_samples, options.block_samples,
-        options.seed, options.threads, options.control,
-        [&](const SampleBlock& block, Rng& rng) {
-          std::vector<unsigned>& local = round_hits[block.index - next_block];
-          for (unsigned s = block.begin; s < block.end; ++s) {
-            // One world for the whole batch; evaluation consumes no
-            // randomness, so the stream matches a per-query run exactly.
-            const rim::Ranking tau = rim::SampleRanking(model.model(), rng);
-            for (std::size_t q = 0; q < q_count; ++q) {
-              if (active[q] != 0 &&
-                  infer::Matches(*patterns[q], model.labeling(), tau)) {
-                ++local[q];
-              }
-            }
-          }
-        });
-    next_block += count;
-    ++round;
-    const std::uint64_t n =
-        SeededBlockAt(next_block - 1, options.max_samples,
-                      options.block_samples)
-            .end;
-
-    const bool budget_expired = next_block < total_blocks &&
-                                options.budget != nullptr &&
-                                options.budget->Expired();
-    for (std::size_t q = 0; q < q_count; ++q) {
-      if (active[q] == 0) continue;
-      for (const std::vector<unsigned>& block : round_hits) {
-        hits[q] += block[q];
-      }
-      const BernoulliEstimate point = EstimateFromBernoulliCount(hits[q], n);
-      out[q].estimate = point.estimate;
-      out[q].std_error = point.std_error;
-      out[q].n_samples = n;
-      if (options.target_half_width > 0.0 && n >= options.min_samples &&
-          options.z * point.std_error <= options.target_half_width) {
-        out[q].target_met = true;
-        active[q] = 0;
-        --active_count;
-      } else if (budget_expired) {
-        out[q].deadline_limited = true;
-      }
-    }
-    if (budget_expired) break;
-  }
-  return out;
+  return EstimateRankingEventsPooled(
+      model.model(), patterns.size(),
+      [&](std::size_t q, const rim::Ranking& tau) {
+        return infer::Matches(*patterns[q], model.labeling(), tau);
+      },
+      options);
 }
 
 }  // namespace ppref::hard

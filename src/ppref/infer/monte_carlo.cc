@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "ppref/common/check.h"
-#include "ppref/hard/estimator.h"
 #include "ppref/hard/sampler.h"
+#include "ppref/hard/world_pool.h"
 #include "ppref/infer/matching.h"
 #include "ppref/rim/sampler.h"
 
@@ -17,94 +17,41 @@ namespace {
 /// thread count; large enough that per-block Rng setup is noise.
 constexpr unsigned kMcBlockSamples = 1024;
 
-McEstimate FromBernoulliCount(unsigned hits, unsigned samples) {
-  const hard::BernoulliEstimate point =
-      hard::EstimateFromBernoulliCount(hits, samples);
-  McEstimate result;
-  result.estimate = point.estimate;
-  result.std_error = point.std_error;
-  return result;
-}
-
-/// Runs `block_hits(rng, begin, end)` over the fixed block decomposition of
-/// `options.samples` draws and returns the summed hit count — the shared
-/// seeded-block core (hard/sampler.h), which fans blocks over
-/// ClampThreads(options.threads) workers with per-block generators seeded
-/// from (options.seed, block index) and reduces in block order, so the
-/// total is thread-count independent.
-unsigned BlockedHits(
-    const McOptions& options,
-    const std::function<unsigned(Rng&, unsigned, unsigned)>& block_hits) {
-  PPREF_CHECK(options.samples > 0);
-  return hard::SeededBlockHits(options.samples, kMcBlockSamples, options.seed,
-                               options.threads, options.control, block_hits);
-}
-
 }  // namespace
 
-McEstimate PatternProbMonteCarlo(const LabeledRimModel& model,
-                                 const LabelPattern& pattern, unsigned samples,
-                                 Rng& rng) {
-  PPREF_CHECK(samples > 0);
-  unsigned hits = 0;
-  for (unsigned s = 0; s < samples; ++s) {
-    const rim::Ranking tau = rim::SampleRanking(model.model(), rng);
-    if (Matches(pattern, model.labeling(), tau)) ++hits;
-  }
-  return FromBernoulliCount(hits, samples);
+hard::AdaptiveOptions FixedBudget(const McOptions& options,
+                                  unsigned block_samples) {
+  hard::AdaptiveOptions fixed;
+  fixed.max_samples = options.samples;
+  fixed.block_samples = block_samples;
+  fixed.threads = options.threads;
+  fixed.seed = options.seed;
+  fixed.control = options.control;
+  return fixed;
 }
 
-McEstimate PatternMinMaxProbMonteCarlo(const LabeledRimModel& model,
-                                       const LabelPattern& pattern,
-                                       const std::vector<LabelId>& tracked,
-                                       const MinMaxCondition& condition,
-                                       unsigned samples, Rng& rng) {
-  PPREF_CHECK(samples > 0);
-  unsigned hits = 0;
-  for (unsigned s = 0; s < samples; ++s) {
-    const rim::Ranking tau = rim::SampleRanking(model.model(), rng);
-    if (Matches(pattern, model.labeling(), tau) &&
-        condition(RealizedMinMax(model.labeling(), tau, tracked))) {
-      ++hits;
-    }
-  }
-  return FromBernoulliCount(hits, samples);
+hard::BernoulliEstimate PatternProbMonteCarlo(const LabeledRimModel& model,
+                                              const LabelPattern& pattern,
+                                              const McOptions& options) {
+  return hard::EstimatePatternProbsPooled(
+             model, {&pattern}, FixedBudget(options, kMcBlockSamples))
+      .front();
 }
 
-McEstimate PatternProbMonteCarlo(const LabeledRimModel& model,
-                                 const LabelPattern& pattern,
-                                 const McOptions& options) {
-  const unsigned hits =
-      BlockedHits(options, [&](Rng& rng, unsigned begin, unsigned end) {
-        unsigned h = 0;
-        for (unsigned s = begin; s < end; ++s) {
-          const rim::Ranking tau = rim::SampleRanking(model.model(), rng);
-          if (Matches(pattern, model.labeling(), tau)) ++h;
-        }
-        return h;
-      });
-  return FromBernoulliCount(hits, options.samples);
-}
-
-McEstimate PatternMinMaxProbMonteCarlo(const LabeledRimModel& model,
-                                       const LabelPattern& pattern,
-                                       const std::vector<LabelId>& tracked,
-                                       const MinMaxCondition& condition,
-                                       const McOptions& options) {
+hard::BernoulliEstimate PatternMinMaxProbMonteCarlo(
+    const LabeledRimModel& model, const LabelPattern& pattern,
+    const std::vector<LabelId>& tracked, const MinMaxCondition& condition,
+    const McOptions& options) {
   PPREF_CHECK(condition != nullptr);
-  const unsigned hits =
-      BlockedHits(options, [&](Rng& rng, unsigned begin, unsigned end) {
-        unsigned h = 0;
-        for (unsigned s = begin; s < end; ++s) {
-          const rim::Ranking tau = rim::SampleRanking(model.model(), rng);
-          if (Matches(pattern, model.labeling(), tau) &&
-              condition(RealizedMinMax(model.labeling(), tau, tracked))) {
-            ++h;
-          }
-        }
-        return h;
-      });
-  return FromBernoulliCount(hits, options.samples);
+  return hard::EstimateRankingEventsPooled(
+             model.model(), 1,
+             [&](std::size_t, const rim::Ranking& tau) {
+               return Matches(pattern, model.labeling(), tau) &&
+                      condition(
+                          RealizedMinMax(model.labeling(), tau, tracked));
+             },
+             FixedBudget(options, kMcBlockSamples))
+      .front();
 }
 
 McTopMatching TopMatchingMonteCarlo(const LabeledRimModel& model,

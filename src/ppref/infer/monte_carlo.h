@@ -4,6 +4,9 @@
 /// Samples rankings via the RIM generative process and averages indicators.
 /// Used in benchmarks (E3) to contrast the exact TopProb algorithm with the
 /// sampling alternative the paper's §6 alludes to for approximate answering.
+/// The Bernoulli estimators run on the hard tier's one sampling core
+/// (hard/world_pool.h, target disabled), so they share its seeding and its
+/// thread-count invariance.
 
 #ifndef PPREF_INFER_MONTE_CARLO_H_
 #define PPREF_INFER_MONTE_CARLO_H_
@@ -11,19 +14,13 @@
 #include <cstdint>
 
 #include "ppref/common/deadline.h"
-#include "ppref/common/random.h"
+#include "ppref/hard/estimator.h"
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/matching.h"
 #include "ppref/infer/minmax_condition.h"
 #include "ppref/infer/pattern.h"
 
 namespace ppref::infer {
-
-/// A sampling estimate with its standard error.
-struct McEstimate {
-  double estimate = 0.0;
-  double std_error = 0.0;
-};
 
 /// Options for the seeded Monte-Carlo entry points. Sampling is split into
 /// fixed blocks of ~1k draws; block b uses an independent generator seeded
@@ -42,30 +39,23 @@ struct McOptions {
   const RunControl* control = nullptr;
 };
 
-/// Estimates Pr(g | σ, Π, λ) from `samples` draws.
-McEstimate PatternProbMonteCarlo(const LabeledRimModel& model,
-                                 const LabelPattern& pattern, unsigned samples,
-                                 Rng& rng);
+/// `options` as a run of the hard tier's round loop with the target
+/// disabled, at `block_samples` draws per seeded block.
+hard::AdaptiveOptions FixedBudget(const McOptions& options,
+                                  unsigned block_samples);
 
-/// Seeded, optionally parallel estimate of Pr(g | σ, Π, λ); identical for
-/// every `options.threads` value (see McOptions).
-McEstimate PatternProbMonteCarlo(const LabeledRimModel& model,
-                                 const LabelPattern& pattern,
-                                 const McOptions& options);
-
-/// Estimates Pr(g ∧ φ) from `samples` draws.
-McEstimate PatternMinMaxProbMonteCarlo(const LabeledRimModel& model,
-                                       const LabelPattern& pattern,
-                                       const std::vector<LabelId>& tracked,
-                                       const MinMaxCondition& condition,
-                                       unsigned samples, Rng& rng);
+/// Seeded, optionally parallel estimate of Pr(g | σ, Π, λ) from
+/// `options.samples` draws; identical for every `options.threads` value
+/// (see McOptions).
+hard::BernoulliEstimate PatternProbMonteCarlo(const LabeledRimModel& model,
+                                              const LabelPattern& pattern,
+                                              const McOptions& options);
 
 /// Seeded, optionally parallel estimate of Pr(g ∧ φ).
-McEstimate PatternMinMaxProbMonteCarlo(const LabeledRimModel& model,
-                                       const LabelPattern& pattern,
-                                       const std::vector<LabelId>& tracked,
-                                       const MinMaxCondition& condition,
-                                       const McOptions& options);
+hard::BernoulliEstimate PatternMinMaxProbMonteCarlo(
+    const LabeledRimModel& model, const LabelPattern& pattern,
+    const std::vector<LabelId>& tracked, const MinMaxCondition& condition,
+    const McOptions& options);
 
 /// The sample-modal top matching: the γ realized as the top matching most
 /// often across the sampled rankings (MostProbableTopMatching's sampling

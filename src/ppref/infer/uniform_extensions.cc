@@ -1,7 +1,5 @@
 #include "ppref/infer/uniform_extensions.h"
 
-#include <cmath>
-
 #include "ppref/common/check.h"
 #include "ppref/infer/matching.h"
 
@@ -140,21 +138,16 @@ double UniformExtensions::PatternProbExact(const LabelPattern& pattern,
   return static_cast<double>(hits) / static_cast<double>(ExtensionCount());
 }
 
-McEstimate UniformExtensions::PatternProbSampled(const LabelPattern& pattern,
-                                                 const ItemLabeling& labeling,
-                                                 unsigned samples,
-                                                 Rng& rng) const {
+hard::BernoulliEstimate UniformExtensions::PatternProbSampled(
+    const LabelPattern& pattern, const ItemLabeling& labeling,
+    unsigned samples, Rng& rng) const {
   PPREF_CHECK(samples > 0);
   PPREF_CHECK(labeling.item_count() == order_.size());
   unsigned hits = 0;
   for (unsigned s = 0; s < samples; ++s) {
     if (Matches(pattern, labeling, Sample(rng))) ++hits;
   }
-  McEstimate estimate;
-  estimate.estimate = static_cast<double>(hits) / samples;
-  estimate.std_error = std::sqrt(
-      estimate.estimate * (1.0 - estimate.estimate) / samples);
-  return estimate;
+  return hard::EstimateFromBernoulliCount(hits, samples);
 }
 
 }  // namespace ppref::infer

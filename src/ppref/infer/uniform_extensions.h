@@ -16,9 +16,9 @@
 #include <unordered_map>
 
 #include "ppref/common/random.h"
+#include "ppref/hard/estimator.h"
 #include "ppref/infer/labeling.h"
 #include "ppref/infer/linear_extensions.h"
-#include "ppref/infer/monte_carlo.h"
 #include "ppref/infer/pattern.h"
 
 namespace ppref::infer {
@@ -58,9 +58,9 @@ class UniformExtensions {
                           double max_extensions = 1e6) const;
 
   /// Sampling estimate of the pattern probability (works at any size).
-  McEstimate PatternProbSampled(const LabelPattern& pattern,
-                                const ItemLabeling& labeling, unsigned samples,
-                                Rng& rng) const;
+  hard::BernoulliEstimate PatternProbSampled(const LabelPattern& pattern,
+                                             const ItemLabeling& labeling,
+                                             unsigned samples, Rng& rng) const;
 
  private:
   /// #LE of the suborder on the downset `mask` (predecessor-closed sets).

@@ -19,7 +19,6 @@
 #include "ppref/infer/monte_carlo.h"
 #include "ppref/infer/top_prob.h"
 #include "ppref/obs/export.h"
-#include "ppref/rim/sampler.h"
 #include "ppref/serve/fingerprint.h"
 #include "ppref/store/codec.h"
 #include "ppref/store/store.h"
@@ -841,17 +840,11 @@ Server::Outcome Server::Degrade(const Request& request,
       adaptive.threads = 1;
       adaptive.seed = HashCombine(result_key, kKeyMcSeed);
       adaptive.control = control;
-      const infer::LabeledRimModel& model = *request.model;
-      const infer::LabelPattern& pattern = *request.pattern;
-      const hard::AdaptiveEstimate estimate = hard::EstimateBernoulliAdaptive(
-          adaptive, [&](Rng& rng, unsigned begin, unsigned end) {
-            unsigned hits = 0;
-            for (unsigned s = begin; s < end; ++s) {
-              const rim::Ranking tau = rim::SampleRanking(model.model(), rng);
-              if (infer::Matches(pattern, model.labeling(), tau)) ++hits;
-            }
-            return hits;
-          });
+      // A one-pattern pool answers exactly what a solo run would.
+      const hard::AdaptiveEstimate estimate =
+          hard::EstimatePatternProbsPooled(*request.model, {request.pattern},
+                                           adaptive)
+              .front();
       outcome.result.probability = estimate.estimate;
       outcome.std_error = estimate.std_error;
     } else {

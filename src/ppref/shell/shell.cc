@@ -1,6 +1,7 @@
 #include "ppref/shell/shell.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -10,7 +11,6 @@
 #include "ppref/infer/labeled_rim.h"
 #include "ppref/infer/labeling.h"
 #include "ppref/ppd/analytics.h"
-#include "ppref/ppd/approx.h"
 #include "ppref/ppd/evaluator.h"
 #include "ppref/ppd/explain.h"
 #include "ppref/ppd/io.h"
@@ -25,6 +25,10 @@
 
 namespace ppref::shell {
 namespace {
+
+/// Seed of every sampled answer the shell prints (PODS'17 conference date):
+/// the same command prints the same answer.
+constexpr std::uint64_t kSampleSeed = 20170514;
 
 /// Splits "cmd rest..." into the command word and the remainder.
 std::pair<std::string, std::string> SplitCommand(const std::string& line) {
@@ -322,7 +326,10 @@ void Shell::CommandQuery(const std::string& args) {
     out_ << "conf = " << ppd::EvaluateBooleanByEnumeration(*ppd_, q)
          << " (non-itemwise: possible-world enumeration)\n";
   } else {
-    const auto estimate = ppd::EstimateBoolean(*ppd_, q, 20000, rng_);
+    infer::McOptions options;
+    options.samples = 20000;
+    options.seed = kSampleSeed;
+    const auto estimate = ppd::EstimateBoolean(*ppd_, q, options);
     out_ << "conf ~ " << estimate.estimate << " +- " << estimate.std_error
          << " (non-itemwise: Monte Carlo, 20k worlds)\n";
   }
@@ -357,12 +364,20 @@ void Shell::CommandUnion(const std::string& args) {
 void Shell::CommandApprox(const std::string& args) {
   std::istringstream stream(args);
   double epsilon = 0.0, delta = 0.0;
-  stream >> epsilon >> delta;
+  if (!(stream >> epsilon >> delta)) {
+    out_ << "error: \\approx expects: eps delta Q() :- ...\n";
+    return;
+  }
+  const Status valid = ppd::ValidateHoeffding(epsilon, delta);
+  if (!valid.ok()) {
+    out_ << "error: " << valid.message() << "\n";
+    return;
+  }
   std::string query_text;
   std::getline(stream, query_text);
   const auto q = query::ParseQuery(query_text, ppd_->schema());
   const auto result =
-      ppd::ApproximateBoolean(*ppd_, q, epsilon, delta, rng_);
+      ppd::ApproximateBoolean(*ppd_, q, epsilon, delta, kSampleSeed);
   out_ << "conf ~ " << result.estimate << " (+- " << epsilon << " w.p. >= "
        << 1 - delta << ", " << result.samples << " samples)\n";
 }

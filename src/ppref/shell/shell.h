@@ -37,7 +37,6 @@
 #include <ostream>
 #include <string>
 
-#include "ppref/common/random.h"
 #include "ppref/ppd/ppd.h"
 #include "ppref/serve/server.h"
 
@@ -83,7 +82,6 @@ class Shell {
   /// across commands, so repeated sweeps over the same query shape recompile
   /// nothing.
   std::unique_ptr<serve::Server> server_;
-  Rng rng_{20170514};  // PODS'17 conference date; fixed for reproducibility
   // Multi-line \load-inline accumulation state.
   bool loading_ = false;
   std::string pending_load_;

@@ -15,13 +15,13 @@
 
 #include "ppref/common/deadline.h"
 #include "ppref/common/random.h"
-#include "ppref/hard/sampler.h"
 #include "ppref/infer/labeling.h"
 #include "ppref/infer/matching.h"
 #include "ppref/infer/top_prob.h"
 #include "ppref/rim/mallows.h"
 #include "ppref/rim/ranking.h"
 #include "ppref/rim/sampler.h"
+#include "hard/serial_reference.h"
 #include "test_util.h"
 
 namespace ppref::hard {
@@ -112,13 +112,47 @@ TEST(HardEstimatorTest, DisabledTargetReducesToFixedBudgetBits) {
   EXPECT_EQ(adaptive.n_samples, 8192u);
   EXPECT_FALSE(adaptive.target_met);
   EXPECT_FALSE(adaptive.deadline_limited);
-  // Same draws, same reduction order -> bit-identical to the fixed-budget
-  // seeded core over the same decomposition.
-  const unsigned hits = SeededBlockHits(8192, 1024, 23, 1, nullptr,
-                                        PatternHits(model, pattern));
-  const BernoulliEstimate fixed = EstimateFromBernoulliCount(hits, 8192);
+  // Same draws, same reduction order -> bit-identical to a plain serial
+  // pass over the same seeded blocks.
+  const AdaptiveEstimate fixed = ppref::testing::SerialAdaptiveReference(
+      options, [&](Rng& rng) {
+        return infer::Matches(pattern, model.labeling(),
+                              rim::SampleRanking(model.model(), rng));
+      });
   EXPECT_EQ(adaptive.estimate, fixed.estimate);
   EXPECT_EQ(adaptive.std_error, fixed.std_error);
+  EXPECT_EQ(adaptive.n_samples, fixed.n_samples);
+}
+
+TEST(HardEstimatorTest, FixedBudgetIsThreadCountInvariant) {
+  // A body that actually consumes randomness — per-draw Bernoulli(0.3) —
+  // so any per-thread stream sharing would corrupt the count. With the
+  // target disabled and no budget, every block runs in one round.
+  const auto body = [](Rng& rng, unsigned begin, unsigned end) {
+    unsigned hits = 0;
+    for (unsigned s = begin; s < end; ++s) {
+      if (rng.NextUnit() < 0.3) ++hits;
+    }
+    return hits;
+  };
+  AdaptiveOptions options;
+  options.target_half_width = 0.0;
+  options.max_samples = 5000;
+  options.block_samples = 256;
+  options.seed = 42;
+  options.threads = 1;
+  const AdaptiveEstimate serial = EstimateBernoulliAdaptive(options, body);
+  options.threads = 4;
+  const AdaptiveEstimate parallel = EstimateBernoulliAdaptive(options, body);
+  options.threads = 0;  // auto
+  const AdaptiveEstimate automatic = EstimateBernoulliAdaptive(options, body);
+  EXPECT_EQ(serial.estimate, parallel.estimate);
+  EXPECT_EQ(serial.std_error, parallel.std_error);
+  EXPECT_EQ(serial.estimate, automatic.estimate);
+  EXPECT_EQ(serial.n_samples, 5000u);
+  // And the estimate is plausible for p = 0.3 over 5000 draws.
+  EXPECT_GT(serial.estimate, 0.25);
+  EXPECT_LT(serial.estimate, 0.35);
 }
 
 TEST(HardEstimatorTest, AdaptiveIsThreadCountInvariant) {

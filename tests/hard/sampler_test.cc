@@ -1,12 +1,13 @@
 /// \file sampler_test.cc
 /// \brief hard::sampler contract tests: the block decomposition covers the
-/// budget exactly, and the seeded block reduction is a pure function of
-/// (seed, budget, block size) — never of the thread count.
+/// budget exactly (also near UINT_MAX), and each block draws from its own
+/// seeded stream whatever thread runs it.
 
 #include "ppref/hard/sampler.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "ppref/common/random.h"
@@ -38,24 +39,17 @@ TEST(HardSamplerTest, BlockDecompositionCoversBudgetExactly) {
   EXPECT_EQ(covered, samples);
 }
 
-TEST(HardSamplerTest, SeededBlockHitsIsThreadCountInvariant) {
-  // A body that actually consumes randomness — per-draw Bernoulli(0.3) —
-  // so any per-thread stream sharing would corrupt the count.
-  const auto body = [](Rng& rng, unsigned begin, unsigned end) {
-    unsigned hits = 0;
-    for (unsigned s = begin; s < end; ++s) {
-      if (rng.NextUnit() < 0.3) ++hits;
-    }
-    return hits;
-  };
-  const unsigned serial = SeededBlockHits(5000, 256, 42, 1, nullptr, body);
-  const unsigned parallel = SeededBlockHits(5000, 256, 42, 4, nullptr, body);
-  const unsigned automatic = SeededBlockHits(5000, 256, 42, 0, nullptr, body);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial, automatic);
-  // And the count is plausible for p = 0.3 over 5000 draws.
-  EXPECT_GT(serial, 1250u);
-  EXPECT_LT(serial, 1750u);
+TEST(HardSamplerTest, BlockArithmeticDoesNotWrapNearUintMax) {
+  // Arithmetic only: no block is run. A budget within one block of
+  // UINT_MAX used to wrap the block count to 0.
+  const unsigned max = std::numeric_limits<unsigned>::max();
+  EXPECT_EQ(SeededBlockCount(max, 1024), 4194304u);
+  EXPECT_EQ(SeededBlockCount(max - 100, 1024), 4194304u);
+  EXPECT_EQ(SeededBlockCount(max, max), 1u);
+  const SampleBlock last = SeededBlockAt(4194303u, max, 1024);
+  EXPECT_EQ(last.begin, 4194303u * 1024u);
+  EXPECT_EQ(last.end, max);
+  EXPECT_EQ(SeededBlockAt(0, max, max).end, max);
 }
 
 TEST(HardSamplerTest, RunSeededBlocksGivesEachBlockItsOwnStream) {

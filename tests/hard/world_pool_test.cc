@@ -15,25 +15,21 @@
 #include "ppref/hard/estimator.h"
 #include "ppref/infer/matching.h"
 #include "ppref/rim/sampler.h"
+#include "hard/serial_reference.h"
 #include "test_util.h"
 
 namespace ppref::hard {
 namespace {
 
-/// Solo adaptive run of one pattern — the per-query baseline the pool
-/// promises to reproduce bit for bit.
+/// Solo run of one pattern — the per-query baseline the pool promises to
+/// reproduce bit for bit — as a plain serial pass over the seeded blocks.
 AdaptiveEstimate Solo(const infer::LabeledRimModel& model,
                       const infer::LabelPattern& pattern,
                       const AdaptiveOptions& options) {
-  return EstimateBernoulliAdaptive(
-      options, [&](Rng& rng, unsigned begin, unsigned end) {
-        unsigned hits = 0;
-        for (unsigned s = begin; s < end; ++s) {
-          const rim::Ranking tau = rim::SampleRanking(model.model(), rng);
-          if (infer::Matches(pattern, model.labeling(), tau)) ++hits;
-        }
-        return hits;
-      });
+  return ppref::testing::SerialAdaptiveReference(options, [&](Rng& rng) {
+    return infer::Matches(pattern, model.labeling(),
+                          rim::SampleRanking(model.model(), rng));
+  });
 }
 
 TEST(HardWorldPoolTest, PooledAnswersBitIdenticalToSoloRuns) {

@@ -17,7 +17,10 @@ TEST(MonteCarloTest, ConvergesToExactPatternProb) {
   pattern.AddNode(1);
   pattern.AddEdge(0, 1);
   const double exact = PatternProb(model, pattern);
-  const McEstimate estimate = PatternProbMonteCarlo(model, pattern, 40000, rng);
+  McOptions options;
+  options.samples = 40000;
+  options.seed = 71;
+  const auto estimate = PatternProbMonteCarlo(model, pattern, options);
   EXPECT_NEAR(estimate.estimate, exact, 5 * estimate.std_error + 1e-3);
 }
 
@@ -26,8 +29,12 @@ TEST(MonteCarloTest, StdErrorShrinksWithSamples) {
   const auto model = ppref::testing::RandomLabeledMallows(6, 0.8, 2, 0.5, rng);
   LabelPattern pattern;
   pattern.AddNode(0);
-  const McEstimate small = PatternProbMonteCarlo(model, pattern, 100, rng);
-  const McEstimate large = PatternProbMonteCarlo(model, pattern, 10000, rng);
+  McOptions options;
+  options.seed = 73;
+  options.samples = 100;
+  const auto small = PatternProbMonteCarlo(model, pattern, options);
+  options.samples = 10000;
+  const auto large = PatternProbMonteCarlo(model, pattern, options);
   // Degenerate cases (p = 0 or 1) give zero std error; guard against them.
   if (small.std_error > 0 && large.std_error > 0) {
     EXPECT_LT(large.std_error, small.std_error);
@@ -35,7 +42,6 @@ TEST(MonteCarloTest, StdErrorShrinksWithSamples) {
 }
 
 TEST(MonteCarloTest, CertainEventEstimatesOne) {
-  Rng rng(79);
   ItemLabeling labeling(4);
   labeling.AddLabel(1, 0);
   const LabeledRimModel model(
@@ -44,7 +50,10 @@ TEST(MonteCarloTest, CertainEventEstimatesOne) {
       labeling);
   LabelPattern pattern;
   pattern.AddNode(0);
-  const McEstimate estimate = PatternProbMonteCarlo(model, pattern, 500, rng);
+  McOptions options;
+  options.samples = 500;
+  options.seed = 79;
+  const auto estimate = PatternProbMonteCarlo(model, pattern, options);
   EXPECT_DOUBLE_EQ(estimate.estimate, 1.0);
   EXPECT_DOUBLE_EQ(estimate.std_error, 0.0);
 }
@@ -55,8 +64,11 @@ TEST(MonteCarloTest, MinMaxEstimatorConvergesToExact) {
   const std::vector<LabelId> tracked = {0, 1};
   const MinMaxCondition condition = AllBefore(0, 1);
   const double exact = MinMaxProb(model, tracked, condition);
-  const McEstimate estimate = PatternMinMaxProbMonteCarlo(
-      model, LabelPattern{}, tracked, condition, 40000, rng);
+  McOptions options;
+  options.samples = 40000;
+  options.seed = 83;
+  const auto estimate = PatternMinMaxProbMonteCarlo(
+      model, LabelPattern{}, tracked, condition, options);
   EXPECT_NEAR(estimate.estimate, exact, 5 * estimate.std_error + 1e-3);
 }
 
@@ -78,13 +90,13 @@ TEST(MonteCarloTest, SeededOptionsAreThreadCountInvariant) {
   parallel.threads = 4;
   McOptions automatic = serial;
   automatic.threads = 0;  // auto, per ClampThreads
-  const McEstimate a = PatternProbMonteCarlo(model, pattern, serial);
-  const McEstimate b = PatternProbMonteCarlo(model, pattern, parallel);
-  const McEstimate c = PatternProbMonteCarlo(model, pattern, automatic);
+  const auto a = PatternProbMonteCarlo(model, pattern, serial);
+  const auto b = PatternProbMonteCarlo(model, pattern, parallel);
+  const auto c = PatternProbMonteCarlo(model, pattern, automatic);
   EXPECT_EQ(a.estimate, b.estimate);
   EXPECT_EQ(a.std_error, b.std_error);
   EXPECT_EQ(a.estimate, c.estimate);
-  // And it converges like the legacy entry point.
+  // And it converges to the exact answer.
   const double exact = PatternProb(model, pattern);
   EXPECT_NEAR(a.estimate, exact, 5 * a.std_error + 1e-2);
 }
@@ -99,7 +111,7 @@ TEST(MonteCarloTest, SeededOptionsConvergeForMinMax) {
   options.samples = 40000;
   options.seed = 7;
   options.threads = 2;
-  const McEstimate estimate = PatternMinMaxProbMonteCarlo(
+  const auto estimate = PatternMinMaxProbMonteCarlo(
       model, LabelPattern{}, tracked, condition, options);
   EXPECT_NEAR(estimate.estimate, exact, 5 * estimate.std_error + 1e-3);
 }

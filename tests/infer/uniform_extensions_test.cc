@@ -122,7 +122,7 @@ TEST(UniformExtensionsTest, PatternProbExactMatchesSampled) {
   pattern.AddEdge(0, 1);
   const double exact = dist.PatternProbExact(pattern, labeling);
   Rng rng(79);
-  const McEstimate sampled =
+  const auto sampled =
       dist.PatternProbSampled(pattern, labeling, 40000, rng);
   EXPECT_GT(exact, 0.0);
   EXPECT_LT(exact, 1.0);

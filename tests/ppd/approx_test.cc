@@ -1,4 +1,4 @@
-#include "ppref/ppd/approx.h"
+#include "ppref/ppd/monte_carlo_evaluator.h"
 
 #include <gtest/gtest.h>
 
@@ -24,14 +24,17 @@ TEST(ApproxDeathTest, InvalidParametersRejected) {
   const RimPpd ppd = ElectionPpd();
   EXPECT_DEATH(HoeffdingSamples(0.0, 0.1), "epsilon");
   EXPECT_DEATH(HoeffdingSamples(0.1, 1.5), "delta");
+  // ln(20) / (2 * 1e-10) ~ 1.5e10 samples: more than the counter holds.
+  EXPECT_DEATH(HoeffdingSamples(1e-5, 0.1), "samples");
+  EXPECT_FALSE(ValidateHoeffding(1e-5, 0.1).ok());
+  EXPECT_TRUE(ValidateHoeffding(0.05, 0.01).ok());
 }
 
 TEST(ApproxTest, EstimateWithinEpsilonOfExact) {
   const RimPpd ppd = ElectionPpd();
   const auto q1 = ppref::testing::ParsePaperQuery(ppref::testing::kQ1);
   const double exact = EvaluateBoolean(ppd, q1);
-  Rng rng(31415);
-  const ApproxResult result = ApproximateBoolean(ppd, q1, 0.05, 0.01, rng);
+  const ApproxResult result = ApproximateBoolean(ppd, q1, 0.05, 0.01, 31415);
   EXPECT_EQ(result.samples, HoeffdingSamples(0.05, 0.01));
   // The guarantee holds w.p. 0.99; with this fixed seed it must hold.
   EXPECT_NEAR(result.estimate, exact, result.epsilon);
@@ -41,8 +44,7 @@ TEST(ApproxTest, WorksOnHardQueries) {
   const RimPpd ppd = ElectionPpd();
   const auto q2 = ppref::testing::ParsePaperQuery(ppref::testing::kQ2);
   const double brute = EvaluateBooleanByEnumeration(ppd, q2);
-  Rng rng(2718);
-  const ApproxResult result = ApproximateBoolean(ppd, q2, 0.05, 0.01, rng);
+  const ApproxResult result = ApproximateBoolean(ppd, q2, 0.05, 0.01, 2718);
   EXPECT_NEAR(result.estimate, brute, result.epsilon);
 }
 
@@ -53,9 +55,8 @@ TEST(ApproxTest, UnionVariantMatchesExactUnion) {
       "Q() :- Polls('Bob', 'Oct-5'; 'Trump'; 'Sanders')",
       ppd.schema());
   const double exact = EvaluateBooleanUnion(ppd, ucq);
-  Rng rng(161803);
   const ApproxResult result =
-      ApproximateBooleanUnion(ppd, ucq, 0.05, 0.01, rng);
+      ApproximateBooleanUnion(ppd, ucq, 0.05, 0.01, 161803);
   EXPECT_NEAR(result.estimate, exact, result.epsilon);
 }
 

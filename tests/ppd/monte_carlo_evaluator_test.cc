@@ -14,8 +14,10 @@ TEST(MonteCarloEvaluatorTest, ConvergesToItemwiseExactAnswer) {
   const RimPpd ppd = ElectionPpd();
   const auto q1 = ppref::testing::ParsePaperQuery(ppref::testing::kQ1);
   const double exact = EvaluateBoolean(ppd, q1);
-  Rng rng(2024);
-  const auto estimate = EstimateBoolean(ppd, q1, 20000, rng);
+  infer::McOptions options;
+  options.samples = 20000;
+  options.seed = 2024;
+  const auto estimate = EstimateBoolean(ppd, q1, options);
   EXPECT_NEAR(estimate.estimate, exact, 5 * estimate.std_error + 1e-3);
 }
 
@@ -24,8 +26,10 @@ TEST(MonteCarloEvaluatorTest, HandlesNonItemwiseQueries) {
   const RimPpd ppd = ElectionPpd();
   const auto q2 = ppref::testing::ParsePaperQuery(ppref::testing::kQ2);
   const double brute = EvaluateBooleanByEnumeration(ppd, q2);
-  Rng rng(2025);
-  const auto estimate = EstimateBoolean(ppd, q2, 20000, rng);
+  infer::McOptions options;
+  options.samples = 20000;
+  options.seed = 2025;
+  const auto estimate = EstimateBoolean(ppd, q2, options);
   EXPECT_NEAR(estimate.estimate, brute, 5 * estimate.std_error + 1e-3);
 }
 
@@ -33,8 +37,10 @@ TEST(MonteCarloEvaluatorTest, DeterministicQueriesAreExact) {
   const RimPpd ppd = ElectionPpd();
   const auto q = query::ParseQuery("Q() :- Candidates(_, 'D', 'F', _)",
                                    ppd.schema());
-  Rng rng(7);
-  const auto estimate = EstimateBoolean(ppd, q, 50, rng);
+  infer::McOptions options;
+  options.samples = 50;
+  options.seed = 7;
+  const auto estimate = EstimateBoolean(ppd, q, options);
   EXPECT_DOUBLE_EQ(estimate.estimate, 1.0);
   EXPECT_DOUBLE_EQ(estimate.std_error, 0.0);
 }

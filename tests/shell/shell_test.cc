@@ -93,6 +93,42 @@ TEST(ShellTest, ApproxCommandReportsGuarantee) {
   EXPECT_NE(out.find("150 samples"), std::string::npos);
 }
 
+TEST(ShellTest, ApproxRejectsOutOfRangeEpsilonAndKeepsGoing) {
+  const std::string out = RunScript(
+      "\\election\n"
+      "\\approx 0 0.1 Q() :- Polls('Ann', 'Oct-5'; 'Clinton'; 'Sanders')\n"
+      "\\help\n");
+  EXPECT_NE(out.find("error: epsilon must be in (0, 1), got 0"),
+            std::string::npos);
+  EXPECT_NE(out.find("\\query"), std::string::npos);  // kept going
+}
+
+TEST(ShellTest, ApproxRejectsEpsilonTooSmallForTheCounter) {
+  const std::string out = RunScript(
+      "\\election\n"
+      "\\approx 1e-5 0.1 Q() :- Polls('Ann', 'Oct-5'; 'Clinton'; 'Sanders')\n"
+      "\\approx x 0.1 Q() :- Polls('Ann', 'Oct-5'; 'Clinton'; 'Sanders')\n"
+      "\\help\n");
+  EXPECT_NE(out.find("samples, over the limit of 4294967295"),
+            std::string::npos);
+  EXPECT_NE(out.find("error: \\approx expects"), std::string::npos);
+  EXPECT_NE(out.find("\\query"), std::string::npos);  // kept going
+}
+
+TEST(ShellTest, ApproxIsReproducible) {
+  // Figure 1's query: a voter prefers a male Democrat to a female Democrat.
+  const std::string command =
+      "\\approx 0.1 0.1 Q() :- Polls(v, _; l; r), "
+      "Candidates(l, 'D', 'M', _), Candidates(r, 'D', 'F', _)\n";
+  const std::string out = RunScript("\\election\n" + command + command);
+  const std::size_t first = out.find("conf ~ ");
+  ASSERT_NE(first, std::string::npos);
+  const std::size_t second = out.find("conf ~ ", first + 1);
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_EQ(out.substr(first, out.find('\n', first) - first),
+            out.substr(second, out.find('\n', second) - second));
+}
+
 TEST(ShellTest, SaveAndLoadInlineRoundTrip) {
   std::ostringstream out1;
   Shell shell(out1);
