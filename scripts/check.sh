@@ -5,10 +5,13 @@
 #      where ASan turns any codec over-read into a hard failure).
 #   2. TSan build (thread sanitizer is incompatible with ASan, so it is a
 #      separate tree); run the concurrent serve-layer, obs, net, circuit,
-#      resilience, hard-tier and sampling suites (`Serve*` / `Obs*` /
-#      `Net*` / `Circuit*` / `Resil*` / `Hard*` / `MonteCarlo*` /
+#      resilience, hard-tier, sampling and PPD evaluator suites (`Serve*` /
+#      `Obs*` / `Net*` / `Circuit*` / `Resil*` / `Hard*` / `MonteCarlo*` /
 #      `Approx*`, the last three covering the block-parallel round loop,
-#      shared world pools, and the PPD world sampler on several threads)
+#      shared world pools, and the PPD world sampler on several threads;
+#      `Evaluator*` / `UcqEvaluator*` / `Reduction*`, covering the parallel
+#      evaluator's `SessionProb` over borrowed reductions and the
+#      server-routed CQ and UCQ paths)
 #      — the tests that exercise cross-thread synchronization
 #      directly (batch fan-out, sharded caches — including the
 #      structure-keyed circuit cache behind concurrent sweeps — the metric
@@ -75,8 +78,8 @@ cmake --build "$TSAN_DIR" -j "$(nproc)" --target serve_test --target obs_test \
   --target net_test --target circuit_test --target store_test \
   --target resil_test --target hard_test --target infer_top_prob_test \
   --target ppd_test
-ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^Serve|^Obs|^Net|^Circuit|^Store|^Resil|^Hard|^MonteCarlo|^Approx'
-stage_done "tsan serve+obs+net+circuit+store+resil+hard+montecarlo+approx"
+ctest --test-dir "$TSAN_DIR" --output-on-failure -R '^Serve|^Obs|^Net|^Circuit|^Store|^Resil|^Hard|^MonteCarlo|^Approx|^Evaluator|^UcqEvaluator|^Reduction'
+stage_done "tsan serve+obs+net+circuit+store+resil+hard+montecarlo+approx+ppd-evaluators"
 
 cmake -B "$CHAOS_DIR" -S . -DPPREF_SANITIZE=thread -DPPREF_FAULT_INJECTION=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -85,8 +88,8 @@ cmake --build "$CHAOS_DIR" -j "$(nproc)" --target serve_test --target obs_test \
   --target net_test --target circuit_test --target store_test \
   --target resil_test --target hard_test --target infer_top_prob_test \
   --target ppd_test
-ctest --test-dir "$CHAOS_DIR" --output-on-failure -R '^Serve|^Obs|^Net|^Circuit|^Store|^Resil|^Hard|^MonteCarlo|^Approx'
-stage_done "tsan+chaos serve+obs+net+circuit+store+resil+hard+montecarlo+approx"
+ctest --test-dir "$CHAOS_DIR" --output-on-failure -R '^Serve|^Obs|^Net|^Circuit|^Store|^Resil|^Hard|^MonteCarlo|^Approx|^Evaluator|^UcqEvaluator|^Reduction'
+stage_done "tsan+chaos serve+obs+net+circuit+store+resil+hard+montecarlo+approx+ppd-evaluators"
 
 # Store crash-recovery (fork-based kill-9 tests only run un-TSan'd) plus
 # the hard-tier suites, whose seeded parallel sampling ASan checks for

@@ -1,6 +1,7 @@
 #include "ppref/ppd/evaluator.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "ppref/common/check.h"
 #include "ppref/common/parallel.h"
@@ -19,6 +20,47 @@ void CountBooleanQuery() {
       "ppref_ppd_boolean_queries_total",
       "Boolean CQ evaluations via ppd::EvaluateBoolean*");
   queries.Inc();
+}
+
+/// conf = 1 − Π_s (1 − Pr(s ⊨ Q^s)), multiplied in session order so every
+/// entry point's float result matches the serial evaluator.
+double CombineSessions(const std::vector<double>& session_probs) {
+  double none_matches = 1.0;
+  for (double prob : session_probs) none_matches *= 1.0 - prob;
+  return 1.0 - none_matches;
+}
+
+/// Sends the sessions of `reductions` to `server` as one deduplicated batch
+/// and returns one response per reduction, in reduction order. Sessions
+/// with a trivially-zero probability (unsatisfiable or reflexive) never
+/// reach the server and answer OK with probability 0.
+std::vector<serve::Response> ServeSessions(
+    const std::vector<SessionReduction>& reductions, serve::Server& server,
+    const serve::RequestControl& control) {
+  // The labeled models must stay alive until the batch returns, hence the
+  // reserve (no relocation under the borrowed pointers).
+  std::vector<infer::LabeledRimModel> models;
+  models.reserve(reductions.size());
+  std::vector<serve::Request> batch;
+  std::vector<std::size_t> reduction_of;  // batch index -> reduction index
+  for (std::size_t i = 0; i < reductions.size(); ++i) {
+    const SessionReduction& reduction = reductions[i];
+    if (!reduction.satisfiable || reduction.reflexive_preference) continue;
+    models.emplace_back(reduction.model->model(), reduction.labeling);
+    serve::Request request;
+    request.kind = serve::Request::Kind::kPatternProb;
+    request.model = &models.back();
+    request.pattern = &reduction.pattern;
+    request.control = control;
+    batch.push_back(request);
+    reduction_of.push_back(i);
+  }
+  std::vector<serve::Response> responses(reductions.size());
+  std::vector<serve::Response> served = server.EvaluateBatch(batch);
+  for (std::size_t b = 0; b < served.size(); ++b) {
+    responses[reduction_of[b]] = std::move(served[b]);
+  }
+  return responses;
 }
 
 }  // namespace
@@ -53,34 +95,18 @@ double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query,
     return query::IsSatisfiable(query, ppd.ODatabase()) ? 1.0 : 0.0;
   }
   const std::vector<SessionReduction> reductions = ReduceItemwise(ppd, query);
-  // Sessions with a trivially-zero probability never reach the server;
-  // the rest go out as one deduplicated batch. The labeled models must
-  // stay alive until the batch returns, hence the reserve (no relocation
-  // under the borrowed pointers).
-  std::vector<infer::LabeledRimModel> models;
-  models.reserve(reductions.size());
-  std::vector<serve::Request> batch;
-  std::vector<std::size_t> reduction_of;  // batch index -> reduction index
-  for (std::size_t i = 0; i < reductions.size(); ++i) {
-    const SessionReduction& reduction = reductions[i];
-    if (!reduction.satisfiable || reduction.reflexive_preference) continue;
-    models.emplace_back(reduction.model->model(), reduction.labeling);
-    serve::Request request;
-    request.kind = serve::Request::Kind::kPatternProb;
-    request.model = &models.back();
-    request.pattern = &reduction.pattern;
-    batch.push_back(request);
-    reduction_of.push_back(i);
-  }
-  const std::vector<serve::Response> responses = server.EvaluateBatch(batch);
-  // Combine in session order so the float result matches the serial path.
+  const std::vector<serve::Response> responses =
+      ServeSessions(reductions, server, {});
   std::vector<double> session_probs(reductions.size(), 0.0);
-  for (std::size_t b = 0; b < responses.size(); ++b) {
-    session_probs[reduction_of[b]] = responses[b].probability;
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    // A shed, failed or degraded session has no exact probability; the
+    // exact answer cannot be formed, so say so rather than guess.
+    if (!responses[i].status.ok()) {
+      throw std::runtime_error(responses[i].status.ToString());
+    }
+    session_probs[i] = responses[i].probability;
   }
-  double none_matches = 1.0;
-  for (double prob : session_probs) none_matches *= 1.0 - prob;
-  return 1.0 - none_matches;
+  return CombineSessions(session_probs);
 }
 
 StatusOr<BooleanResult> TryEvaluateBoolean(const RimPpd& ppd,
@@ -103,30 +129,15 @@ StatusOr<BooleanResult> TryEvaluateBoolean(const RimPpd& ppd,
   } catch (const SchemaError& e) {
     return Status::InvalidArgument(e.what());
   }
-  std::vector<infer::LabeledRimModel> models;
-  models.reserve(reductions.size());
-  std::vector<serve::Request> batch;
-  std::vector<std::size_t> reduction_of;
-  for (std::size_t i = 0; i < reductions.size(); ++i) {
-    const SessionReduction& reduction = reductions[i];
-    if (!reduction.satisfiable || reduction.reflexive_preference) continue;
-    models.emplace_back(reduction.model->model(), reduction.labeling);
-    serve::Request request;
-    request.kind = serve::Request::Kind::kPatternProb;
-    request.model = &models.back();
-    request.pattern = &reduction.pattern;
-    request.control = control;
-    batch.push_back(request);
-    reduction_of.push_back(i);
-  }
-  const std::vector<serve::Response> responses = server.EvaluateBatch(batch);
+  const std::vector<serve::Response> responses =
+      ServeSessions(reductions, server, control);
   // A session that failed outright fails the query with that status; a
   // degraded (approximate) session keeps the query answerable but marks the
   // result approximate with a summed error bound.
   BooleanResult result;
   std::vector<double> session_probs(reductions.size(), 0.0);
-  for (std::size_t b = 0; b < responses.size(); ++b) {
-    const serve::Response& response = responses[b];
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const serve::Response& response = responses[i];
     if (!response.status.ok() && !response.approximate) {
       return response.status;
     }
@@ -134,12 +145,9 @@ StatusOr<BooleanResult> TryEvaluateBoolean(const RimPpd& ppd,
       result.approximate = true;
       result.std_error += response.std_error;
     }
-    session_probs[reduction_of[b]] = response.probability;
+    session_probs[i] = response.probability;
   }
-  // Combine in session order so the float result matches the serial path.
-  double none_matches = 1.0;
-  for (double prob : session_probs) none_matches *= 1.0 - prob;
-  result.confidence = 1.0 - none_matches;
+  result.confidence = CombineSessions(session_probs);
   return result;
 }
 
@@ -160,10 +168,7 @@ double EvaluateBooleanParallel(const RimPpd& ppd,
   ParallelFor(reductions.size(), ClampThreads(threads), [&](std::size_t i) {
     session_probs[i] = SessionProb(reductions[i]);
   });
-  // Combine in session order so the float result matches the serial path.
-  double none_matches = 1.0;
-  for (double prob : session_probs) none_matches *= 1.0 - prob;
-  return 1.0 - none_matches;
+  return CombineSessions(session_probs);
 }
 
 db::Database PossibilityDatabase(const RimPpd& ppd) {

@@ -46,7 +46,11 @@ double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query,
 /// and results are reused across *queries* via the server's caches, and
 /// unique work runs on the server's worker pool. Bit-identical to the
 /// serial evaluator (the server's determinism guarantee plus session-order
-/// reduction).
+/// reduction). Throws std::runtime_error carrying the status text when any
+/// session's response is not OK — shed by admission control (a batch past
+/// `max_in_flight`), failed, or degraded to Monte-Carlo — since the exact
+/// confidence cannot then be formed; use TryEvaluateBoolean to accept
+/// approximate answers or to get the status back instead.
 double EvaluateBoolean(const RimPpd& ppd, const query::ConjunctiveQuery& query,
                        serve::Server& server);
 

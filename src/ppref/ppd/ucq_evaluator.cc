@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "ppref/common/check.h"
 #include "ppref/infer/conjunction.h"
@@ -51,7 +52,8 @@ double AnyEventProb(const SessionEvents& session,
 
 /// AnyEventProb routed through a serve::Server: every inclusion–exclusion
 /// conjunction goes out as one deduplicated batch; the signed reduction
-/// runs in mask order, bit-identical to the serial loop above.
+/// runs in mask order, bit-identical to the serial loop above. Throws
+/// std::runtime_error when any conjunction's response is not OK.
 double AnyEventProb(const SessionEvents& session, serve::Server& server) {
   const std::size_t t = session.events.size();
   PPREF_CHECK(t > 0);
@@ -85,7 +87,12 @@ double AnyEventProb(const SessionEvents& session, serve::Server& server) {
   const std::vector<serve::Response> responses = server.EvaluateBatch(batch);
   double total = 0.0;
   for (std::size_t mask = 1; mask <= terms; ++mask) {
-    const double prob = responses[mask - 1].probability;
+    const serve::Response& response = responses[mask - 1];
+    // A shed, failed or degraded conjunction leaves no exact sum to form.
+    if (!response.status.ok()) {
+      throw std::runtime_error(response.status.ToString());
+    }
+    const double prob = response.probability;
     const bool odd = __builtin_popcountll(mask) % 2 == 1;
     total += odd ? prob : -prob;
   }

@@ -34,6 +34,9 @@ double EvaluateBooleanUnion(const RimPpd& ppd, const query::UnionQuery& ucq,
 /// deduplicated batch and the signed sum is reduced in mask order, so the
 /// result is bit-identical to the serial path while repeated conjunction
 /// events (across sessions and across queries) hit the server's caches.
+/// Throws std::runtime_error carrying the status text when any conjunction
+/// is not answered exactly (shed by admission control, failed, or degraded
+/// to Monte-Carlo): the confidence would otherwise be silently wrong.
 double EvaluateBooleanUnion(const RimPpd& ppd, const query::UnionQuery& ucq,
                             serve::Server& server);
 

@@ -16,97 +16,19 @@
 #include "ppref/query/classify.h"
 #include "ppref/query/parser.h"
 #include "ppref/query/ucq.h"
+#include "ppd/fuzz_world.h"
 
 namespace ppref::ppd {
 namespace {
 
-struct FuzzWorld {
-  RimPpd ppd;
-  std::vector<std::string> items;     // global item pool (quoted on use)
-  std::vector<std::string> sessions;  // session names
-};
-
-/// Builds a random PPD over o-symbols A(item, tag), B(item, tag) and
-/// p-symbol P(sess; l; r), small enough for exhaustive enumeration.
-FuzzWorld MakeWorld(Rng& rng) {
-  db::PreferenceSchema schema;
-  schema.AddOSymbol("A", db::RelationSignature({"item", "tag"}));
-  schema.AddOSymbol("B", db::RelationSignature({"item", "tag"}));
-  schema.AddPSymbol("P", db::PreferenceSignature(
-                             db::RelationSignature({"sess"}), "l", "r"));
-  FuzzWorld world{RimPpd(std::move(schema)), {}, {}};
-
-  const unsigned item_count = 3 + static_cast<unsigned>(rng.NextIndex(2));
-  for (unsigned i = 0; i < item_count; ++i) {
-    world.items.push_back("i" + std::to_string(i));
-  }
-  const char* tags[] = {"t0", "t1"};
-  for (const std::string& item : world.items) {
-    for (const char* symbol : {"A", "B"}) {
-      // Each item gets 0-2 tag rows per symbol.
-      for (const char* tag : tags) {
-        if (rng.NextUnit() < 0.5) {
-          world.ppd.AddFact(symbol, {db::Value(item), db::Value(tag)});
-        }
-      }
-    }
-  }
-  const unsigned session_count = 1 + static_cast<unsigned>(rng.NextIndex(2));
-  for (unsigned s = 0; s < session_count; ++s) {
-    world.sessions.push_back("s" + std::to_string(s));
-    // Random reference order over all items, random dispersion.
-    std::vector<db::Value> order;
-    for (const std::string& item : world.items) order.push_back(item);
-    for (unsigned i = static_cast<unsigned>(order.size()); i > 1; --i) {
-      std::swap(order[i - 1], order[rng.NextIndex(i)]);
-    }
-    world.ppd.AddSession("P", {db::Value(world.sessions.back())},
-                         SessionModel::Mallows(std::move(order),
-                                               0.2 + 0.8 * rng.NextUnit()));
-  }
-  return world;
-}
-
-/// Instantiates one of several itemwise query templates.
-std::string RandomItemwiseQuery(const FuzzWorld& world, Rng& rng) {
-  auto item = [&] {
-    return "'" + world.items[rng.NextIndex(world.items.size())] + "'";
-  };
-  auto sess = [&] {
-    return "'" + world.sessions[rng.NextIndex(world.sessions.size())] + "'";
-  };
-  auto tag = [&] {
-    return std::string(rng.NextIndex(2) == 0 ? "'t0'" : "'t1'");
-  };
-  switch (rng.NextIndex(8)) {
-    case 0:
-      return "Q() :- P(s; x; y), A(x, " + tag() + ")";
-    case 1:
-      return "Q() :- P(s; x; y), A(x, " + tag() + "), B(y, " + tag() + ")";
-    case 2:
-      return "Q() :- P(s; x; " + item() + "), A(x, " + tag() + ")";
-    case 3:
-      return "Q() :- P(s; x; y), P(s; y; z), A(y, " + tag() + ")";
-    case 4:
-      // One item variable shared by two o-atoms joined on the tag.
-      return "Q() :- P(" + sess() + "; x; y), A(x, t), B(x, t)";
-    case 5:
-      return "Q() :- P(s; x; y), P(s; x; z), A(y, " + tag() + "), B(z, " +
-             tag() + ")";
-    case 6:
-      return "Q() :- P(s; " + item() + "; " + item() + ")";
-    default:
-      // Session variable joining the p-atom and an o-atom... sess is not an
-      // item, so reuse it as a plain join through A's tag column.
-      return "Q() :- P(s; x; y), A(x, " + tag() + "), A(y, " + tag() + ")";
-  }
-}
+using fuzz::MakeWorld;
+using fuzz::RandomItemwiseQuery;
 
 TEST(FuzzTest, ItemwiseEvaluatorMatchesEnumerationOnRandomWorlds) {
   Rng rng(987654321);
   unsigned nontrivial = 0;
   for (int trial = 0; trial < 150; ++trial) {
-    FuzzWorld world = MakeWorld(rng);
+    fuzz::FuzzWorld world = MakeWorld(rng);
     const std::string text = RandomItemwiseQuery(world, rng);
     const auto q = query::ParseQuery(text, world.ppd.schema());
     ASSERT_TRUE(query::IsItemwise(q)) << text;
@@ -122,7 +44,7 @@ TEST(FuzzTest, ItemwiseEvaluatorMatchesEnumerationOnRandomWorlds) {
 TEST(FuzzTest, UnionEvaluatorMatchesEnumerationOnRandomWorlds) {
   Rng rng(123456789);
   for (int trial = 0; trial < 60; ++trial) {
-    FuzzWorld world = MakeWorld(rng);
+    fuzz::FuzzWorld world = MakeWorld(rng);
     const std::string text = RandomItemwiseQuery(world, rng) + " UNION " +
                              RandomItemwiseQuery(world, rng);
     const auto ucq = query::ParseUnionQuery(text, world.ppd.schema());
@@ -135,7 +57,7 @@ TEST(FuzzTest, UnionEvaluatorMatchesEnumerationOnRandomWorlds) {
 TEST(FuzzTest, NonBooleanAnswersMatchEnumerationOnRandomWorlds) {
   Rng rng(55555);
   for (int trial = 0; trial < 40; ++trial) {
-    FuzzWorld world = MakeWorld(rng);
+    fuzz::FuzzWorld world = MakeWorld(rng);
     const auto q = query::ParseQuery("Q(x) :- P(s; x; y), A(y, 't0')",
                                      world.ppd.schema());
     const auto exact = EvaluateQuery(world.ppd, q);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "ppref/infer/top_prob.h"
 #include "ppref/ppd/evaluator.h"
 #include "ppref/ppd/ppd.h"
+#include "ppref/ppd/ucq_evaluator.h"
 #include "ppref/query/parser.h"
 #include "ppref/rim/mallows.h"
 #include "ppref/rim/ranking.h"
@@ -363,6 +365,40 @@ TEST(ServeChaosTest, TryEvaluateBooleanDegradesToApproximate) {
   const double exact = ppd::EvaluateBoolean(ppd, query);
   EXPECT_NEAR(result->confidence, exact,
               std::max(6.0 * result->std_error, 0.05));
+}
+
+TEST(ServeChaosTest, ShedSessionsFailTheCqInsteadOfZeroingThem) {
+  // Q3 sends two distinct session requests; a one-slot server sheds one.
+  // Its probability field is 0, which the exact overload must not fold in.
+  const ppd::RimPpd ppd = ppd::ElectionPpd();
+  const query::ConjunctiveQuery query =
+      ppref::testing::ParsePaperQuery(ppref::testing::kQ3);
+  ServerOptions options;
+  options.max_in_flight = 1;
+  Server server(options);
+  EXPECT_THROW(ppd::EvaluateBoolean(ppd, query, server), std::runtime_error);
+  const StatusOr<ppd::BooleanResult> result =
+      ppd::TryEvaluateBoolean(ppd, query, server);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(server.stats().shed, 0u);
+}
+
+TEST(ServeChaosTest, ShedConjunctionsFailTheUcq) {
+  // Each session sends its 2^3 - 1 inclusion–exclusion conjunctions as one
+  // batch; a one-slot server sheds all but one.
+  const ppd::RimPpd ppd = ppd::ElectionPpd();
+  const query::UnionQuery ucq = query::ParseUnionQuery(
+      "Q() :- Polls('Ann', 'Oct-5'; 'Clinton'; 'Sanders') UNION "
+      "Q() :- Polls('Ann', 'Oct-5'; 'Sanders'; 'Rubio') UNION "
+      "Q() :- Polls('Ann', 'Oct-5'; 'Rubio'; 'Trump')",
+      ppd.schema());
+  ServerOptions options;
+  options.max_in_flight = 1;
+  Server server(options);
+  EXPECT_THROW(ppd::EvaluateBooleanUnion(ppd, ucq, server),
+               std::runtime_error);
+  EXPECT_GT(server.stats().shed, 0u);
 }
 
 // ---------------------------------------------------------------------------
